@@ -4,6 +4,8 @@ from .errors import (
     BoundaryError,
     ClusterQuakeError,
     CompletenessError,
+    CoordinateError,
+    FloatRangeError,
     GluingDomainError,
     HomeomorphismError,
     InternalConsistencyError,
@@ -55,11 +57,13 @@ __all__ = [
     "ClusterQuakeError",
     "CompletenessError",
     "Cone",
+    "CoordinateError",
     "EarthquakeResult",
     "EarthquakeTransformer",
     "ExchangeMatrix",
     "ExchangePattern",
     "FPolynomial",
+    "FloatRangeError",
     "GluingDomainError",
     "HomeomorphismError",
     "InternalConsistencyError",

@@ -107,10 +107,3 @@ def apply_perm(vec, sigma):
     inv = sigma.inverse()
     return tuple(vec[inv(i)] for i in range(len(vec)))
 
-
-def perm_matrix(sigma):
-    n = len(sigma)
-    inv = sigma.inverse()
-    return tuple(
-        tuple(1.0 if j == inv(i) else 0.0 for j in range(n)) for i in range(n)
-    )

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import earthquake as eq
 from . import intmat
-from .errors import ClusterQuakeError
+from .errors import ClusterQuakeError, PreconditionError
 from .horocycle import CentralCharge, conjugacy_residual, glue, \
     horocycle_flow, lift
 from .patterns import enumerate_pattern
@@ -47,7 +47,11 @@ def _num(text):
     try:
         return Fraction(text)
     except ValueError:
+        pass
+    try:
         return float(text)
+    except ValueError:
+        raise PreconditionError(f"not a number: {text!r}") from None
 
 
 def _nums(text):
@@ -60,7 +64,7 @@ def _load_seed(args) -> ExchangeMatrix:
         if os.path.exists(raw):
             with open(raw, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        return ExchangeMatrix.from_json(json.loads(raw))
+        return ExchangeMatrix.from_json(raw)
     return seed_from_type(args.type, getattr(args, "orientation", "linear"))
 
 

@@ -14,7 +14,12 @@ import math
 from dataclasses import dataclass
 
 from . import intmat
-from .errors import HomeomorphismError, PreconditionError
+from .errors import (
+    CoordinateError,
+    FloatRangeError,
+    HomeomorphismError,
+    PreconditionError,
+)
 from .patterns import ExchangePattern, enumerate_pattern
 from .points import (
     LocatedCone,
@@ -57,9 +62,19 @@ def quake_multiplier(P: ExchangePattern, g0: PositivePoint, vid: int,
 
 def quake(P: ExchangePattern, g0: PositivePoint, L: TropicalPoint,
           tol: float = 1e-9) -> EarthquakeResult:
+    """The image of g0 under the earthquake along L, in g0's chart.
+
+    Raises FloatRangeError when a coordinate of the image (or of a chart
+    on the way) leaves the float range; quake_log evaluates those.
+    """
     v = locate_cone(L, P, tol).vertex
     xv = tropical_transport(L, P, v).x
-    g = quake_multiplier(P, g0, v, tuple(math.exp(float(c)) for c in xv))
+    try:
+        g = quake_multiplier(P, g0, v, tuple(math.exp(float(c)) for c in xv))
+    except (OverflowError, CoordinateError) as exc:
+        raise FloatRangeError(
+            f"the earthquake image of {[float(c) for c in L.x]} leaves the "
+            "float range; quake_log evaluates it in log space") from exc
     return EarthquakeResult(g, v)
 
 
@@ -79,13 +94,18 @@ def quake_log(P: ExchangePattern, log_g0, L: TropicalPoint,
 
 def inverse_quake(P: ExchangePattern, g0: PositivePoint, g: PositivePoint,
                   tol: float = 1e-9) -> TropicalPoint:
-    """The tropical point L with quake(P, g0, L) = g (finite type only)."""
-    for v in P.vertices:
-        gv = positive_transport(g, P, v.id)
-        g0v = positive_transport(g0, P, v.id)
+    """The tropical point L with quake(P, g0, L) = g (finite type only).
+
+    Charts are tried at the cone representatives only: a relabeled
+    member's chart permutes the same coordinates.
+    """
+    for cone in P.fan():
+        v = cone.vertex_id
+        gv = positive_transport(g, P, v)
+        g0v = positive_transport(g0, P, v)
         x = tuple(math.log(float(a) / float(b)) for a, b in zip(gv.X, g0v.X))
         if all(c >= -tol for c in x):
-            return tropical_transport(TropicalPoint(v.id, x), P, P.base)
+            return tropical_transport(TropicalPoint(v, x), P, P.base)
     raise HomeomorphismError(
         "no chart realizes the inverse earthquake image; the fan is "
         "probably not complete (non-finite-type input?)")

@@ -44,6 +44,16 @@ class PreconditionError(ClusterQuakeError, ValueError):
     """An operation-specific precondition was violated."""
 
 
+class CoordinateError(PreconditionError):
+    """A point was given a coordinate it cannot carry: not finite, or
+    not strictly positive for a positive point."""
+
+
+class FloatRangeError(ClusterQuakeError, OverflowError):
+    """A result leaves the range of floats; the log-space functions
+    (quake_log, EarthquakeTransformer.transform) still evaluate it."""
+
+
 class GluingDomainError(ClusterQuakeError, ValueError):
     """Central-charge gluing requested outside its domain (z_k not real
     nonzero)."""

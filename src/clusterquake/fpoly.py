@@ -209,10 +209,6 @@ class FPolynomial:
         return cls(nvars, {tuple(r["exp"]): r["coef"] for r in records})
 
 
-def poly_eval(f: FPolynomial, ys):
-    return f.eval(ys)
-
-
 def mutate_F(fs, c_matrix, eps, k):
     """One mutation step of the F-polynomial tuple in direction k.
 

@@ -24,7 +24,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import _steps, intmat
-from .errors import InternalConsistencyError, PatternBudgetError
+from .errors import (
+    InternalConsistencyError,
+    PatternBudgetError,
+    PreconditionError,
+)
 from .fpoly import FPolynomial, f_matrix, mutate_F
 from .seeds import ExchangeMatrix, Permutation, seed_from_type
 
@@ -58,24 +62,6 @@ def mutate_c_matrix(C, eps: ExchangeMatrix, k: int):
             rows.append(tuple(x + coef * y for x, y in zip(row, ck)))
         else:
             rows.append(row)
-    return tuple(rows)
-
-
-def mutate_c_matrix_printed(C, eps: ExchangeMatrix, k: int):
-    """The textbook two-bracket form of the same recursion,
-    c'_i = c_i + [eps_ik]+ * c_k + eps_ik * [-c_k]+ (componentwise),
-    kept as an independent cross-check of mutate_c_matrix."""
-    ck = C[k]
-    neg_part = tuple(max(0, -x) for x in ck)
-    rows = []
-    for i, row in enumerate(C):
-        if i == k:
-            rows.append(tuple(-x for x in ck))
-            continue
-        e = eps.entries[i][k]
-        plus = max(0, e)
-        rows.append(tuple(x + plus * y + e * z
-                          for x, y, z in zip(row, ck, neg_part)))
     return tuple(rows)
 
 
@@ -354,10 +340,18 @@ class ExchangePattern:
 
 
 def _resolve_cap(cap):
-    if cap is not None:
-        return int(cap)
-    env = os.environ.get("CLUSTER_QUAKE_CAP")
-    return int(env) if env else DEFAULT_CAP
+    source = "cap"
+    if cap is None:
+        cap = os.environ.get("CLUSTER_QUAKE_CAP") or DEFAULT_CAP
+        source = "CLUSTER_QUAKE_CAP"
+    try:
+        cap = int(cap)
+    except (TypeError, ValueError):
+        raise PreconditionError(
+            f"{source} must be an integer, got {cap!r}") from None
+    if cap < 1:
+        raise PreconditionError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
@@ -370,8 +364,6 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     partially built pattern is attached to the exception.
     """
     cap = _resolve_cap(cap)
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     n = eps0.n
     C0 = intmat.identity(n)
     F0 = tuple(FPolynomial.constant(n) for _ in range(n))

@@ -14,9 +14,15 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _steps, intmat
-from .errors import CompletenessError
+from .errors import CompletenessError, CoordinateError
 from .patterns import ExchangePattern
 from .seeds import Permutation
+
+
+def _finite(v):
+    # ints and Fractions are always finite; math.isfinite would overflow
+    # converting a huge one to float
+    return not isinstance(v, float) or math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -26,9 +32,9 @@ class TropicalPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(self.x))
-        for v in self.x:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError("tropical coordinates must be finite")
+        if not all(map(_finite, self.x)):
+            raise CoordinateError(
+                f"tropical coordinates must be finite, got {self.x}")
 
 
 @dataclass(frozen=True)
@@ -38,8 +44,9 @@ class PositivePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "X", tuple(self.X))
-        if any(not v > 0 for v in self.X):
-            raise ValueError("positive points need strictly positive coordinates")
+        if not all(v > 0 and _finite(v) for v in self.X):
+            raise CoordinateError("positive points need finite, strictly "
+                                  f"positive coordinates, got {self.X}")
 
 
 class LocatedCone(NamedTuple):
@@ -94,12 +101,15 @@ def locate_cone(L: TropicalPoint, P: ExchangePattern,
     Membership is tested in base-chart coordinates: L is in the cone of v
     iff C^s_{v->v0}^{-1} x^(v0)(L) is componentwise non-negative, and that
     vector is exactly x^(v)(L).  Exact for int/Fraction coordinates.
+    Only cone representatives are scanned: a relabeled member of a cone
+    has a larger id and passes the same test.
     """
     x0 = tropical_transport(L, P, P.base).x
-    for v in P.vertices:
-        lam = intmat.matvec(P.cone_matrix_inv(v.id), x0)
+    for cone in P.fan():
+        lam = intmat.matvec(P.cone_matrix_inv(cone.vertex_id), x0)
         if all(c >= -tol for c in lam):
-            return LocatedCone(v.id, tuple(abs(c) <= tol for c in lam))
+            return LocatedCone(cone.vertex_id,
+                               tuple(abs(c) <= tol for c in lam))
     raise CompletenessError(
         f"no cone of pattern {P.type_tag!r} contains {x0} (tol={tol})")
 

@@ -17,6 +17,7 @@ from math import gcd
 
 from .errors import (
     InvalidTypeError,
+    PreconditionError,
     SkewSymmetrizabilityError,
     SymmetrizerMismatchError,
 )
@@ -123,10 +124,15 @@ class ExchangeMatrix:
     def make(cls, rows, d=None) -> "ExchangeMatrix":
         """Build from any nested iterable of ints; d is validated if given
         but the stored symmetrizer is always the canonical minimal one."""
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        try:
+            entries = tuple(tuple(int(x) for x in row) for row in rows)
+        except (TypeError, ValueError):
+            raise PreconditionError(
+                f"exchange matrix must be rows of integers, got {rows!r}"
+            ) from None
         n = len(entries)
         if any(len(row) != n for row in entries):
-            raise ValueError("exchange matrix must be square")
+            raise PreconditionError("exchange matrix must be square")
         canonical = solve_symmetrizer(entries)
         if d is not None:
             d = tuple(int(x) for x in d)
@@ -199,8 +205,16 @@ class ExchangeMatrix:
 
     @classmethod
     def from_json(cls, data) -> "ExchangeMatrix":
-        """Accepts the JSON text or the already-decoded mapping."""
-        obj = json.loads(data) if isinstance(data, (str, bytes)) else data
+        """Accepts the JSON text or the already-decoded mapping
+        {"entries": rows, "d": symmetrizer (optional)}."""
+        try:
+            obj = json.loads(data) if isinstance(data, (str, bytes)) else data
+        except ValueError as exc:
+            raise PreconditionError(f"seed is not valid JSON: {exc}") from None
+        if not isinstance(obj, dict) or "entries" not in obj:
+            raise PreconditionError(
+                'seed JSON must be an object {"entries": [[...], ...]}, '
+                f"got {obj!r}")
         return cls.make(obj["entries"], obj.get("d"))
 
 

@@ -158,3 +158,27 @@ def test_bad_coordinate_count(capsys):
     code, out, err = run(capsys, "quake", "--type", "A2", "--g0", "1,1,1",
                          "--L", "1,1")
     assert code == 2 and "coordinates" in err
+
+
+def test_bad_cap_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CLUSTER_QUAKE_CAP", "abc")
+    code, out, err = run(capsys, "fan", "--type", "A2")
+    assert code == 2 and err.startswith("error:") and "CLUSTER_QUAKE_CAP" in err
+
+
+@pytest.mark.parametrize("matrix, why", [
+    ("{bad", "JSON"),
+    ("[[0,1],[-1,0]]", "entries"),
+    ('{"entries": [[0, 1], [1]]}', "square"),
+    ('{"entries": [[0, "a"], [1, 0]]}', "integers"),
+])
+def test_malformed_matrix_is_a_usage_error(capsys, matrix, why):
+    code, out, err = run(capsys, "cartan", "--matrix", matrix)
+    assert code == 2 and err.startswith("error:") and why in err
+
+
+@pytest.mark.parametrize("L, why", [("nan,1", "finite"),
+                                    ("abc,1", "not a number")])
+def test_bad_coordinate_is_a_usage_error(capsys, L, why):
+    code, out, err = run(capsys, "quake", f"--L={L}")
+    assert code == 2 and err.startswith("error:") and why in err

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import clusterquake as cq
 from clusterquake import (
+    FloatRangeError,
     HomeomorphismError,
     PositivePoint,
     PreconditionError,
@@ -47,6 +48,15 @@ def test_quake_on_base_cone_scales_componentwise():
     got = quake(P, g0, L).g.X
     want = (2.0 * math.e, 0.5 * math.e ** 3)
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+
+@pytest.mark.parametrize("L", [(1e3, -700.0, 300.0), (1e6, -7e5, 3e5)])
+def test_quake_past_float_range_is_a_typed_error(L):
+    # the image's X_3 is about e^1000: once returned as inf, once as a raw
+    # OverflowError
+    P = pattern("A3")
+    with pytest.raises(FloatRangeError, match="quake_log"):
+        quake(P, ones(P), TropicalPoint(0, L))
 
 
 def test_quake_multiplier_exact_frozen():

@@ -1,8 +1,24 @@
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from clusterquake import EarthquakeTransformer, locate_cone, seed_from_type
+from clusterquake import (
+    EarthquakeTransformer,
+    FloatRangeError,
+    PositivePoint,
+    inverse_quake,
+    locate_cone,
+    quake,
+    quake_log,
+    seed_from_type,
+)
 from clusterquake.points import TropicalPoint
+
+ORACLE_TYPES = ["A2", "B2", "G2", "A3", "C3", "D4"]
+TOL = 1e-9
 
 
 def test_fit_transform_inverse_round_trip():
@@ -65,3 +81,109 @@ def test_fit_transform_shortcut():
     a = EarthquakeTransformer("A2").fit_transform(X)
     b = EarthquakeTransformer("A2").fit().transform(X)
     assert np.array_equal(a, b)
+
+
+@lru_cache(maxsize=None)
+def fitted(label):
+    g0 = tuple(math.exp(0.4 * (-1) ** i + 0.1 * i)
+               for i in range(seed_from_type(label).n))
+    return EarthquakeTransformer(label, g0=g0).fit()
+
+
+@st.composite
+def blocks(draw, exponents):
+    """A fitted type and a block of rows, each in (or on a wall of) a
+    drawn cone: a positive mix of the cone's generators, or an integer
+    mix of a proper subset of them, times 10**exponent."""
+    est = fitted(draw(st.sampled_from(ORACLE_TYPES)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        gens = draw(st.sampled_from(est.pattern_.fan())).generators
+        if draw(st.booleans()):
+            weights = [draw(st.integers(0, 3)) for _ in gens]
+            weights[draw(st.integers(0, len(gens) - 1))] = 0
+        else:
+            weights = [draw(st.floats(0.05, 3.0)) for _ in gens]
+        scale = 10.0 ** draw(exponents)
+        rows.append([scale * sum(w * g[i] for w, g in zip(weights, gens))
+                     for i in range(len(gens))])
+    return est, np.array(rows)
+
+
+def assert_close(got, want, row):
+    # 1e-9, relative once the row's size passes 1: floats carry about
+    # 16 digits, whatever the magnitude
+    bound = TOL * max(1.0, np.abs(row).max())
+    assert np.abs(np.asarray(got) - np.asarray(want)).max() <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks(st.integers(-300, 300)))
+def test_predict_and_transform_agree_with_scalar_path(block):
+    est, X = block
+    P, g0 = est.pattern_, est.g0_
+    cones, Y = est.predict(X), est.transform(X)
+    # inverse_quake cannot take these magnitudes; the round trip can
+    for row, back in zip(X, est.inverse_transform(Y)):
+        assert_close(back, row, row)
+    for row, cone, image in zip(X, cones, Y):
+        L = TropicalPoint(P.base, tuple(row))
+        assert cone == locate_cone(L, P, est.tol).vertex
+        try:
+            want = [math.log(x) for x in quake(P, g0, L, est.tol).g.X]
+        except FloatRangeError:
+            want, _ = quake_log(P, [math.log(x) for x in g0.X], L, est.tol)
+        assert_close(image, want, row)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_predict_on_scaled_rays_matches_locate_cone(label):
+    # a ray scaled far from the integers lies on a wall only up to
+    # rounding, so the side it falls on depends on the summation order,
+    # which numpy's matrix product may pick by the shape of the block
+    est = fitted(label)
+    X = np.array([[10.0 ** e * k * c for c in g]
+                  for cone in est.pattern_.fan() for g in cone.generators
+                  for k in (1, 2, 3) for e in (-300, -5, 25, 150, 300)])
+    want = [locate_cone(TropicalPoint(0, tuple(row)), est.pattern_).vertex
+            for row in X]
+    assert est.predict(X).tolist() == want
+    assert [est.predict(row)[0] for row in X] == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocks(st.integers(-6, 1)))
+def test_inverse_transform_agrees_with_inverse_quake(block):
+    est, X = block
+    P, g0 = est.pattern_, est.g0_
+    Y = est.transform(X)
+    back = est.inverse_transform(Y)
+    for row, image, got in zip(X, Y, back):
+        g = PositivePoint(P.base, tuple(math.exp(c) for c in image))
+        assert_close(got, inverse_quake(P, g0, g, est.tol).x, row)
+        assert_close(got, row, row)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", ["transform", "inverse_transform",
+                                    "predict"])
+def test_non_finite_rows_are_rejected(method, bad):
+    est = fitted("A2")
+    with pytest.raises(ValueError):
+        getattr(est, method)([[0.5, 1.0], [bad, 1.0]])
+
+
+def test_transform_past_float_range_stays_finite():
+    # quake overflows on both rows (see test_earthquake); the log-space
+    # batch path follows quake_log
+    est = EarthquakeTransformer("A3").fit()
+    P = est.pattern_
+    X = np.array([[1e3, -700.0, 300.0], [1e6, -7e5, 3e5]])
+    Y = est.transform(X)
+    assert np.isfinite(Y).all()
+    assert np.abs(Y[0] - [300.0 + math.log(2), -700.0,
+                          1000.0 - math.log(2)]).max() < 1e-9
+    for row, image in zip(X, Y):
+        want, _ = quake_log(P, (0.0, 0.0, 0.0), TropicalPoint(0, tuple(row)))
+        assert_close(image, want, row)
+    assert_close(est.inverse_transform(Y), X, X)

@@ -8,7 +8,25 @@ from clusterquake import (
     seed_from_type,
 )
 from clusterquake import intmat
-from clusterquake.patterns import mutate_c_matrix, mutate_c_matrix_printed
+from clusterquake.patterns import mutate_c_matrix
+
+
+def mutate_c_matrix_printed(C, eps: ExchangeMatrix, k: int):
+    """The textbook two-bracket form of the C-matrix recursion,
+    c'_i = c_i + [eps_ik]+ * c_k + eps_ik * [-c_k]+ (componentwise),
+    kept as an independent cross-check of mutate_c_matrix."""
+    ck = C[k]
+    neg_part = tuple(max(0, -x) for x in ck)
+    rows = []
+    for i, row in enumerate(C):
+        if i == k:
+            rows.append(tuple(-x for x in ck))
+            continue
+        e = eps.entries[i][k]
+        plus = max(0, e)
+        rows.append(tuple(x + plus * y + e * z
+                          for x, y, z in zip(row, ck, neg_part)))
+    return tuple(rows)
 
 
 def a2():

@@ -37,6 +37,10 @@ def test_point_validation():
         TropicalPoint(0, (1.0, float("nan")))
     with pytest.raises(ValueError):
         TropicalPoint(0, (float("inf"), 0.0))
+    with pytest.raises(ValueError):
+        PositivePoint(0, (float("inf"), 1.0))
+    with pytest.raises(ValueError):
+        PositivePoint(0, (1.0, float("nan")))
 
 
 def test_scale():
