@@ -10,6 +10,7 @@ from .errors import (
     HomeomorphismError,
     InternalConsistencyError,
     InvalidTypeError,
+    NotFiniteTypeError,
     PatternBudgetError,
     PreconditionError,
     SkewSymmetrizabilityError,
@@ -68,6 +69,7 @@ __all__ = [
     "HomeomorphismError",
     "InternalConsistencyError",
     "InvalidTypeError",
+    "NotFiniteTypeError",
     "PatternBudgetError",
     "PatternVertex",
     "Permutation",

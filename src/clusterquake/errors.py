@@ -26,6 +26,12 @@ class PatternBudgetError(ClusterQuakeError, RuntimeError):
         self.partial = partial
 
 
+class NotFiniteTypeError(PatternBudgetError):
+    """Enumeration reached an exchange matrix with |eps_ij * eps_ji| > 3,
+    which no mutation class of finite type contains (Fomin-Zelevinsky,
+    Cluster algebras II).  The partial graph built so far is attached."""
+
+
 class InternalConsistencyError(ClusterQuakeError, RuntimeError):
     """A structural theorem failed at runtime (sign coherence, exact
     polynomial division, integrality ...).  Signals a bug or bad input,

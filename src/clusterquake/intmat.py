@@ -72,17 +72,3 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
         inv.append(tuple(ints))
     return tuple(inv)
 
-
-def conjugate_by_diag(d, m) -> IntMatrix:
-    """D * m * D^{-1} for D = diag(d), verified to stay integral."""
-    out = []
-    for i, row in enumerate(m):
-        new_row = []
-        for j, x in enumerate(row):
-            val = Fraction(d[i] * x, d[j])
-            if val.denominator != 1:
-                raise InternalConsistencyError(
-                    "diagonal conjugation left the integers")
-            new_row.append(int(val))
-        out.append(tuple(new_row))
-    return tuple(out)

@@ -3,29 +3,41 @@
 enumerate_pattern performs a breadth-first closure of an initial seed
 under the n matrix mutations (and, by default, under the symmetrizer-
 preserving transpositions), deduplicating labeled seeds by the pair
-(exchange matrix, C-matrix).  Each vertex carries its C-, G-, F- data;
-the pattern object then answers the derived questions: tropical signs,
-cones and the fan, opposite class, FuGy identity, F*C products.
+(exchange matrix, C-matrix).  Each vertex carries its C-matrix, its
+dual C-matrix C^- and its G-matrix, each from an integer one-step
+recursion along the BFS edge that first reached it, plus its
+F-polynomials; the pattern object then answers the derived questions:
+tropical signs, cones and the fan, opposite class, FuGy identity, F*C
+products.
 
 Conventions (all 0-based):
   * C-matrix rows are c-vectors; C^s_{v0->v} linearizes the tropical
     coordinate change x^(v) = C * x^(v0) on the non-negative orthant of
     the base chart.
+  * Cdual = C^{-s}_{v0->v}, the C-matrix of the opposite pattern at the
+    same path, steps by mutate_c_matrix with -eps.  By the tropical
+    duality of Nakanishi-Zelevinsky it is the inverse of cone_matrix(v),
+    so its rows cut out the cone of v.
+  * G-matrix rows are g-vectors, g'_k = -g_k + sum_i [-s * eps_ki]+ g_i
+    with s the tropical sign of c_k (Fomin-Zelevinsky IV); every vertex
+    is checked against the duality C * diag(d) * G^T = diag(d).
   * cone_matrix(v) = C^s_{v->v0}; its columns generate the cone of v in
     base-chart coordinates and are computed independently of the row
-    recursion by transporting basis vectors along the reversed path.
+    recursions by transporting basis vectors along the reversed path.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
+from operator import mul
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import _steps, intmat
 from .errors import (
     InternalConsistencyError,
+    NotFiniteTypeError,
     PatternBudgetError,
     PreconditionError,
 )
@@ -65,11 +77,25 @@ def mutate_c_matrix(C, eps: ExchangeMatrix, k: int):
     return tuple(rows)
 
 
+def mutate_g_matrix(G, C, eps: ExchangeMatrix, k: int):
+    """Row recursion for the G-matrix (rows are g-vectors) along mutation
+    k, with the tropical sign s of the k-th c-vector in C:
+    g'_k = -g_k + sum_i [-s * eps_ki]+ * g_i, the other rows unchanged."""
+    sign = _row_sign(C[k])
+    gk = [-x for x in G[k]]
+    for i, e in enumerate(eps.entries[k]):
+        coef = max(0, -sign * e)
+        if coef:
+            gk = [x + coef * y for x, y in zip(gk, G[i])]
+    return G[:k] + (tuple(gk),) + G[k + 1:]
+
+
 @dataclass(frozen=True)
 class PatternVertex:
     id: int
     eps: ExchangeMatrix
     C: intmat.IntMatrix
+    Cdual: intmat.IntMatrix  # C^{-s}_{v0->v} = cone_matrix(v)^-1
     G: intmat.IntMatrix
     Fs: tuple
     Fmat: intmat.IntMatrix
@@ -106,7 +132,6 @@ class ExchangePattern:
         self._seq_cache = {}
         self._based_cache = {}
         self._cone_cache = {}
-        self._cone_inv_cache = {}
         self._opposite = None
         self._opp_map = None
         self._fan = None
@@ -204,10 +229,9 @@ class ExchangePattern:
         return self._cone_cache[vid]
 
     def cone_matrix_inv(self, vid):
-        if vid not in self._cone_inv_cache:
-            self._cone_inv_cache[vid] = intmat.inverse_unimodular(
-                self.cone_matrix(vid))
-        return self._cone_inv_cache[vid]
+        """C^{-s}_{v0->v}, the inverse of cone_matrix(v): its rows give the
+        coordinates of a base-chart point in the cone generators."""
+        return self.vertices[vid].Cdual
 
     def based_matrices(self, vid) -> BasedMatrices:
         """C-, F-, and F-degree matrices of the pattern re-based at vid
@@ -284,20 +308,21 @@ class ExchangePattern:
     # -- fan -----------------------------------------------------------------
 
     def fan(self):
-        """Maximal cones, deduplicated across relabeled vertices."""
+        """Maximal cones, deduplicated across relabeled vertices.
+
+        Two vertices share a cone exactly when their cone matrices have the
+        same set of columns, that is when their inverses (the Cdual
+        matrices) have the same set of rows; the generators are then
+        transported once per cone, for its lowest vertex id."""
         if self._fan is None:
             groups = {}
             for v in self.vertices:
-                m = self.cone_matrix(v.id)
-                key = frozenset(zip(*m))
-                groups.setdefault(key, []).append(v.id)
+                groups.setdefault(frozenset(v.Cdual), []).append(v.id)
             cones = []
             for members in groups.values():
-                members.sort()
                 rep = members[0]
-                m = self.cone_matrix(rep)
-                cones.append(Cone(rep, tuple(zip(*m)), tuple(members)))
-            cones.sort(key=lambda c: c.vertex_id)
+                cones.append(Cone(rep, intmat.transpose(self.cone_matrix(rep)),
+                                  tuple(members)))
             self._fan = tuple(cones)
         return self._fan
 
@@ -354,96 +379,112 @@ def _resolve_cap(cap):
     return cap
 
 
+def _two_finite_violation(eps: ExchangeMatrix):
+    """A pair (i, j) with |eps_ij * eps_ji| > 3, or None.  No matrix in a
+    mutation class of finite type has one (Fomin-Zelevinsky, Cluster
+    algebras II)."""
+    e = eps.entries
+    for i in range(eps.n):
+        for j in range(i + 1, eps.n):
+            if abs(e[i][j] * e[j][i]) > 3:
+                return i, j
+    return None
+
+
+def _duality_holds(C, G, d, diag_d):
+    """C * diag(d) * G^T == diag(d), exactly."""
+    gd = [tuple(map(mul, row, d)) for row in G]
+    return tuple(tuple(sum(map(mul, c_row, g_row)) for g_row in gd)
+                 for c_row in C) == diag_d
+
+
 def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                       include_permutations=True,
                       type_tag="custom") -> ExchangePattern:
     """Breadth-first closure of the initial seed under mutations (and
     admissible transpositions), deduplicated by (eps, C).
 
-    Raises PatternBudgetError when the vertex budget is exceeded; the
-    partially built pattern is attached to the exception.
+    Raises NotFiniteTypeError at the first exchange matrix that shows the
+    class is not of finite type, and PatternBudgetError when the vertex
+    budget is exceeded; either way the partially built pattern is
+    attached to the exception.
     """
     cap = _resolve_cap(cap)
     n = eps0.n
-    C0 = intmat.identity(n)
-    F0 = tuple(FPolynomial.constant(n) for _ in range(n))
-    store = [{"eps": eps0, "C": C0, "Fs": F0, "path": ()}]
-    index = {(eps0.entries, C0): 0}
+    d = eps0.d
+    diag_d = tuple(tuple(x if i == j else 0 for j in range(n))
+                   for i, x in enumerate(d))
+    vertices = []
+    index = {}
     mut_edges = {}
     perm_edges = {}
     transpositions = eps0.admissible_transpositions() if include_permutations else []
-    queue = deque([0])
+    queue = deque()
 
-    def budget_error():
-        partial = _build(store, mut_edges, perm_edges, type_tag,
-                         include_permutations, cap, strict=False)
-        return PatternBudgetError(
-            f"exchange graph exceeds {cap} vertices; the mutation class "
-            "does not look finite (raise the cap via CLUSTER_QUAKE_CAP "
-            "if it is)", partial=partial)
+    def pattern_so_far():
+        return ExchangePattern(vertices, mut_edges, perm_edges, type_tag,
+                               include_permutations, cap)
 
+    def add(eps, C, Cdual, G, Fs, path):
+        vid = len(vertices)
+        if vid >= cap:
+            raise PatternBudgetError(
+                f"exchange graph exceeds {cap} vertices; the mutation class "
+                "does not look finite (raise the cap via CLUSTER_QUAKE_CAP "
+                "if it is)", partial=pattern_so_far())
+        if not _duality_holds(C, G, d, diag_d):
+            raise InternalConsistencyError(
+                f"vertex {vid}: C * diag(d) * G^T != diag(d)")
+        vertices.append(PatternVertex(
+            id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, Fmat=f_matrix(Fs),
+            path=path))
+        index[(eps.entries, C)] = vid
+        queue.append(vid)
+        return vid
+
+    ident = intmat.identity(n)
+    add(eps0, ident, ident, ident,
+        tuple(FPolynomial.constant(n) for _ in range(n)), ())
     while queue:
-        vid = queue.popleft()
-        cur = store[vid]
+        cur = vertices[queue.popleft()]
+        vid, eps, C = cur.id, cur.eps, cur.C
+        bad = _two_finite_violation(eps)
+        if bad is not None:
+            i, j = bad
+            product = abs(eps.entries[i][j] * eps.entries[j][i])
+            raise NotFiniteTypeError(
+                f"exchange matrix at vertex {vid} has |eps_{i}{j} * "
+                f"eps_{j}{i}| = {product} > 3; the mutation class is not of "
+                "finite type", partial=pattern_so_far())
         for k in range(n):
             if (vid, k) in mut_edges:
                 continue
-            new_fs = mutate_F(cur["Fs"], cur["C"], cur["eps"], k)
-            new_c = mutate_c_matrix(cur["C"], cur["eps"], k)
-            new_eps = cur["eps"].mutate(k)
-            key = (new_eps.entries, new_c)
-            wid = index.get(key)
+            new_eps = eps.mutate(k)
+            new_c = mutate_c_matrix(C, eps, k)
+            wid = index.get((new_eps.entries, new_c))
             if wid is None:
-                if len(store) >= cap:
-                    raise budget_error()
-                wid = len(store)
-                index[key] = wid
-                store.append({"eps": new_eps, "C": new_c, "Fs": new_fs,
-                              "path": cur["path"] + (("mu", k),)})
-                queue.append(wid)
+                wid = add(new_eps, new_c,
+                          mutate_c_matrix(cur.Cdual, -eps, k),
+                          mutate_g_matrix(cur.G, C, eps, k),
+                          mutate_F(cur.Fs, C, eps, k),
+                          cur.path + (("mu", k),))
             mut_edges[(vid, k)] = wid
             mut_edges[(wid, k)] = vid
         for sigma in transpositions:
-            ekey = (vid, sigma.images)
-            if ekey in perm_edges:
+            if (vid, sigma.images) in perm_edges:
                 continue
-            new_eps = cur["eps"].relabel(sigma)
-            new_c = _steps.apply_perm(cur["C"], sigma)
-            key = (new_eps.entries, new_c)
-            wid = index.get(key)
+            new_eps = eps.relabel(sigma)
+            new_c = _steps.apply_perm(C, sigma)
+            wid = index.get((new_eps.entries, new_c))
             if wid is None:
-                if len(store) >= cap:
-                    raise budget_error()
-                wid = len(store)
-                index[key] = wid
-                store.append({"eps": new_eps,
-                              "C": new_c,
-                              "Fs": _steps.apply_perm(cur["Fs"], sigma),
-                              "path": cur["path"] + (("perm", sigma.images),)})
-                queue.append(wid)
+                wid = add(new_eps, new_c,
+                          _steps.apply_perm(cur.Cdual, sigma),
+                          _steps.apply_perm(cur.G, sigma),
+                          _steps.apply_perm(cur.Fs, sigma),
+                          cur.path + (("perm", sigma.images),))
             perm_edges[(vid, sigma.images)] = wid
             perm_edges[(wid, sigma.images)] = vid
-    return _build(store, mut_edges, perm_edges, type_tag,
-                  include_permutations, cap, strict=True)
-
-
-def _build(store, mut_edges, perm_edges, type_tag, include_permutations,
-           cap, strict):
-    d = store[0]["eps"].d
-    vertices = []
-    for vid, rec in enumerate(store):
-        try:
-            c_inv = intmat.inverse_unimodular(rec["C"])
-            G = intmat.conjugate_by_diag(d, intmat.transpose(c_inv))
-        except InternalConsistencyError:
-            if strict:
-                raise
-            G = None
-        vertices.append(PatternVertex(
-            id=vid, eps=rec["eps"], C=rec["C"], G=G, Fs=rec["Fs"],
-            Fmat=f_matrix(rec["Fs"]), path=rec["path"]))
-    return ExchangePattern(vertices, mut_edges, perm_edges, type_tag,
-                           include_permutations, cap)
+    return pattern_so_far()
 
 
 def pattern_from_type(label, cap=None, include_permutations=True,

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import clusterquake as cq
 from clusterquake import PositivePoint, TropicalPoint, intmat
+from test_patterns import conjugate_by_diag
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +126,7 @@ def test_criterion_3_matrix_identities():
                 assert P.tropical_sign(v.id, k) in (-1, 1)
             # G-matrices are integral (construction already divides by d)
             assert all(isinstance(x, int) for row in v.G for x in row)
-            gd = intmat.conjugate_by_diag(d, intmat.transpose(
+            gd = conjugate_by_diag(d, intmat.transpose(
                 intmat.inverse_unimodular(v.C)))
             assert gd == v.G
     assert time.perf_counter() - start < 30.0

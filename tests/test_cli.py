@@ -147,6 +147,18 @@ def test_budget_env(capsys, monkeypatch):
     assert "exceeds 4 vertices" in err
 
 
+@pytest.mark.parametrize("entries", [
+    [[0, 3], [-3, 0]],
+    [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+    [[0, 2, -2], [-2, 0, 2], [2, -2, 0]],
+])
+def test_enumerate_not_finite_type_is_an_error(capsys, entries):
+    code, out, err = run(capsys, "enumerate", "--matrix",
+                         json.dumps({"entries": entries}))
+    assert code == 2 and err.startswith("error:")
+    assert "not of finite type" in err and not out
+
+
 def test_matrix_from_file(tmp_path, capsys):
     path = tmp_path / "seed.json"
     path.write_text('{"entries": [[0, -1], [1, 0]]}')

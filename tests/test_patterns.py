@@ -1,14 +1,27 @@
+import time
+from fractions import Fraction
+
 import pytest
 
 from clusterquake import (
     ExchangeMatrix,
+    InternalConsistencyError,
+    NotFiniteTypeError,
     PatternBudgetError,
     enumerate_pattern,
     pattern_from_type,
     seed_from_type,
 )
-from clusterquake import intmat
+from clusterquake import intmat, patterns
 from clusterquake.patterns import mutate_c_matrix
+
+ENUMERATE_TYPES = ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3",
+                   "A4", "B4", "C4", "D4", "F4"]
+NOT_FINITE_TYPE = {
+    "rank2_3x3": [[0, 3], [-3, 0]],
+    "affine_A2_triangle": [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+    "markov": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]],
+}
 
 
 def mutate_c_matrix_printed(C, eps: ExchangeMatrix, k: int):
@@ -27,6 +40,23 @@ def mutate_c_matrix_printed(C, eps: ExchangeMatrix, k: int):
         rows.append(tuple(x + plus * y + e * z
                           for x, y, z in zip(row, ck, neg_part)))
     return tuple(rows)
+
+
+def conjugate_by_diag(d, m):
+    """D * m * D^{-1} for D = diag(d), verified to stay integral; with
+    intmat.inverse_unimodular it gives the G-matrix oracle
+    G = D * (C^{-1})^T * D^{-1}."""
+    out = []
+    for i, row in enumerate(m):
+        new_row = []
+        for j, x in enumerate(row):
+            val = Fraction(d[i] * x, d[j])
+            if val.denominator != 1:
+                raise InternalConsistencyError(
+                    "diagonal conjugation left the integers")
+            new_row.append(int(val))
+        out.append(tuple(new_row))
+    return tuple(out)
 
 
 def a2():
@@ -138,8 +168,6 @@ def test_tropical_signs_at_base():
 
 
 def test_g_matrix_definition():
-    from fractions import Fraction
-
     P = pattern_from_type("G2")
     d = P.d
     for v in P.vertices:
@@ -194,12 +222,67 @@ def test_route_replay_reaches_destination():
 
 
 def test_budget_error_carries_partial():
-    markov = ExchangeMatrix.make([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
     with pytest.raises(PatternBudgetError) as err:
-        enumerate_pattern(markov, cap=50)
+        pattern_from_type("D4", cap=50)
     assert len(err.value.partial) == 50
+    assert all(v.G is not None for v in err.value.partial.vertices)
+    markov = ExchangeMatrix.make(NOT_FINITE_TYPE["markov"])
     with pytest.raises(ValueError):
         enumerate_pattern(markov, cap=0)
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FINITE_TYPE))
+def test_not_finite_type_raises_at_once(name):
+    # every matrix of a finite-type class has |eps_ij * eps_ji| <= 3, so
+    # the enumeration stops at the first one that does not, cap or no cap
+    eps = ExchangeMatrix.make(NOT_FINITE_TYPE[name])
+    start = time.process_time()
+    with pytest.raises(NotFiniteTypeError) as err:
+        enumerate_pattern(eps)
+    assert time.process_time() - start < 1.0
+    assert isinstance(err.value, PatternBudgetError)
+    assert "not of finite type" in str(err.value)
+    partial = err.value.partial
+    assert partial.vertex(0).eps == eps
+    assert any(abs(e[i][j] * e[j][i]) > 3
+               for e in (v.eps.entries for v in partial.vertices)
+               for i in range(eps.n) for j in range(eps.n))
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+@pytest.mark.parametrize("include_permutations", [True, False])
+def test_carried_matrices_match_fraction_oracle(label, include_permutations):
+    # G and Cdual come from integer one-step recursions; the oracles are the
+    # Fraction inverse of C and of the route-replayed cone matrix
+    P = enumerate_pattern(seed_from_type(label),
+                          include_permutations=include_permutations)
+    d = P.d
+    for v in P.vertices:
+        assert v.G == conjugate_by_diag(
+            d, intmat.transpose(intmat.inverse_unimodular(v.C))), v.id
+        assert P.cone_matrix_inv(v.id) == intmat.inverse_unimodular(
+            P.cone_matrix(v.id)), v.id
+
+
+def test_wrong_g_recursion_fails_the_duality_check(monkeypatch):
+    monkeypatch.setattr(patterns, "mutate_g_matrix",
+                        lambda G, C, eps, k: G)
+    with pytest.raises(InternalConsistencyError, match="diag"):
+        pattern_from_type("B2")
+
+
+def test_build_path_needs_no_fraction_inverse(monkeypatch):
+    def forbidden(m):
+        raise AssertionError("inverse_unimodular called on the build path")
+
+    monkeypatch.setattr(intmat, "inverse_unimodular", forbidden)
+    P = pattern_from_type("D4")
+    assert len(P.fan()) == 50
+    for v in P.vertices:
+        P.cone_matrix_inv(v.id)
+    with pytest.raises(PatternBudgetError) as err:
+        pattern_from_type("D4", cap=50)
+    assert len(err.value.partial.fan()) >= 1
 
 
 def test_budget_env_var(monkeypatch):
