@@ -1,5 +1,8 @@
 """Finite-type cluster fans and the cluster earthquake map."""
 
+import importlib.util
+import sys
+
 from .errors import (
     BoundaryError,
     ClusterQuakeError,
@@ -48,7 +51,32 @@ from .earthquake import (
 )
 from .horocycle import CentralCharge, conjugacy_residual, glue, \
     horocycle_flow, lift
-from .estimators import EarthquakeTransformer
+
+
+def _lazy_submodule(name):
+    """The submodule, registered in sys.modules at once but executed only
+    when one of its attributes is first read."""
+    fullname = f"{__name__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Only estimators needs numpy, whose import costs more than the rest of the
+# package together, and the CLI never uses it.  The module is still
+# registered at import, so code that finds the package's modules through
+# sys.modules (perfbench/tracer.py) sees it.
+estimators = _lazy_submodule("estimators")
+
+
+def __getattr__(name):
+    if name == "EarthquakeTransformer":
+        return estimators.EarthquakeTransformer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -125,6 +125,8 @@ def cmd_enumerate(args):
     obj["vertex_count"] = len(pattern)
     obj["cone_count"] = len(pattern.fan())
     _emit_json(obj, args)
+    if args.stats:
+        print(json.dumps(pattern.stats, sort_keys=True), file=sys.stderr)
     return 0
 
 
@@ -478,6 +480,9 @@ def build_parser():
 
     sub = subs.add_parser("enumerate", help="labeled exchange graph as JSON")
     _add_seed_flags(sub)
+    sub.add_argument("--stats", action="store_true",
+                     help="also write counts, CPU seconds per phase and "
+                          "cache sizes to stderr, as one JSON line")
     sub.set_defaults(func=cmd_enumerate)
 
     sub = subs.add_parser("fan", help="maximal cones of the fan")

@@ -5,10 +5,11 @@ under the n matrix mutations (and, by default, under the symmetrizer-
 preserving transpositions), deduplicating labeled seeds by the pair
 (exchange matrix, C-matrix).  Each vertex carries its C-matrix, its
 dual C-matrix C^- and its G-matrix, each from an integer one-step
-recursion along the BFS edge that first reached it, plus its
-F-polynomials; the pattern object then answers the derived questions:
-tropical signs, cones and the fan, opposite class, FuGy identity, F*C
-products.
+recursion, plus its F-polynomials.  These are computed once per
+cluster, along the BFS edge that first reached it; every labeled vertex
+is its cluster's canonical seed with the rows permuted.  The pattern
+object then answers the derived questions: tropical signs, cones and
+the fan, opposite class, FuGy identity, F*C products.
 
 Conventions (all 0-based):
   * C-matrix rows are c-vectors; C^s_{v0->v} linearizes the tropical
@@ -29,6 +30,7 @@ Conventions (all 0-based):
 from __future__ import annotations
 
 import os
+import time
 from collections import deque
 from operator import mul
 from dataclasses import dataclass, field
@@ -121,7 +123,7 @@ class ExchangePattern:
     """Immutable labeled exchange graph rooted at vertex 0."""
 
     def __init__(self, vertices, mut_edges, perm_edges, type_tag,
-                 include_permutations, cap):
+                 include_permutations, cap, clusters=None, bfs_s=None):
         self.vertices = tuple(vertices)
         self.mut_edges = dict(mut_edges)  # (vid, k) -> wid
         self.perm_edges = dict(perm_edges)  # (vid, images) -> wid
@@ -135,6 +137,9 @@ class ExchangePattern:
         self._opposite = None
         self._opp_map = None
         self._fan = None
+        self._clusters = clusters
+        self._bfs_s = bfs_s
+        self._fan_s = None
 
     # -- basic access ----------------------------------------------------
 
@@ -173,20 +178,12 @@ class ExchangePattern:
             self._seq_cache[vid] = tuple(seq)
         return self._seq_cache[vid]
 
-    @staticmethod
-    def _invert_edge(edge):
-        if edge[0] == "mu":
-            return edge
-        images = edge[1]
-        inv = [0] * len(images)
-        for i, img in enumerate(images):
-            inv[img] = i
-        return ("perm", tuple(inv))
-
     def route(self, src, dst):
         """Steps [(ambient vid, edge), ...] leading from chart src to dst.
 
-        Built from the stored base paths with the common prefix cancelled.
+        Built from the stored base paths with the common prefix cancelled;
+        a path is walked back edge by edge, since every edge is its own
+        inverse (mutations, and relabelings by transpositions).
         """
         if src == dst:
             return []
@@ -198,7 +195,7 @@ class ExchangePattern:
             common += 1
         steps = []
         for pos in range(len(p_src) - 1, common - 1, -1):
-            steps.append((s_src[pos + 1], self._invert_edge(p_src[pos])))
+            steps.append((s_src[pos + 1], p_src[pos]))
         for pos in range(common, len(p_dst)):
             steps.append((s_dst[pos], p_dst[pos]))
         return steps
@@ -315,6 +312,7 @@ class ExchangePattern:
         matrices) have the same set of rows; the generators are then
         transported once per cone, for its lowest vertex id."""
         if self._fan is None:
+            start = time.process_time()
             groups = {}
             for v in self.vertices:
                 groups.setdefault(frozenset(v.Cdual), []).append(v.id)
@@ -324,11 +322,34 @@ class ExchangePattern:
                 cones.append(Cone(rep, intmat.transpose(self.cone_matrix(rep)),
                                   tuple(members)))
             self._fan = tuple(cones)
+            self._fan_s = time.process_time() - start
         return self._fan
 
     def ray(self, vid, k):
         """Base-chart coordinates of the k-th cone generator of vertex vid."""
         return intmat.column(self.cone_matrix(vid), k)
+
+    # -- observability --------------------------------------------------------
+
+    @property
+    def stats(self):
+        """Counts, CPU seconds per phase and cache sizes, as a dict.
+
+        Builds the fan if it has not been built.  `clusters` and `bfs_s`
+        are None for a pattern not made by enumerate_pattern."""
+        fan = self.fan()
+        return {
+            "vertices": len(self.vertices),
+            "clusters": self._clusters,
+            "mutation_edges": len(self.mut_edges) // 2,
+            "relabel_edges": len(self.perm_edges) // 2,
+            "cones": len(fan),
+            "bfs_s": self._bfs_s,
+            "fan_s": self._fan_s,
+            "seq_cache": len(self._seq_cache),
+            "based_cache": len(self._based_cache),
+            "cone_cache": len(self._cone_cache),
+        }
 
     # -- serialization --------------------------------------------------------
 
@@ -398,92 +419,179 @@ def _duality_holds(C, G, d, diag_d):
                  for c_row in C) == diag_d
 
 
+class _Cluster(NamedTuple):
+    """Canonical labeled seed of one cluster: the labeling in which the
+    BFS first reached it, with each c-vector's row index."""
+
+    eps: ExchangeMatrix
+    C: intmat.IntMatrix
+    Cdual: intmat.IntMatrix
+    G: intmat.IntMatrix
+    Fs: tuple
+    Fmat: intmat.IntMatrix
+    rows: dict  # c-vector -> row index
+
+
+def _landing_perm(cluster: _Cluster, C):
+    """tau with C[i] == cluster.C[tau[i]] for every row i."""
+    return tuple(cluster.rows[row] for row in C)
+
+
+def _is_relabeling(cluster: _Cluster, tau, eps: ExchangeMatrix, C):
+    """Whether (eps, C) is the cluster's canonical seed with row i taken
+    from row tau[i], by a tau that preserves the symmetrizer."""
+    e, d = cluster.eps.entries, cluster.eps.d
+    return (all(d[t] == x for t, x in zip(tau, d))
+            and tuple(cluster.C[t] for t in tau) == C
+            and tuple(tuple(e[a][b] for b in tau) for a in tau) == eps.entries)
+
+
 def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                       include_permutations=True,
                       type_tag="custom") -> ExchangePattern:
     """Breadth-first closure of the initial seed under mutations (and
     admissible transpositions), deduplicated by (eps, C).
 
+    A labeled seed is stored as (cluster, p): row i of each of its
+    matrices is row p[i] of the cluster's canonical seed.  Mutation
+    commutes with relabeling, so the exact mutation of eps, C, C^-, G
+    and F runs once per cluster edge, memoised as (cluster', tau) with
+    row i of the landed seed equal to row tau[i] of the canonical seed of
+    cluster' (clusters are keyed by their set of c-vectors); a labeled
+    step (cluster, p) -> (cluster', tau o p) is then tuple arithmetic.
+
     Raises NotFiniteTypeError at the first exchange matrix that shows the
     class is not of finite type, and PatternBudgetError when the vertex
     budget is exceeded; either way the partially built pattern is
     attached to the exception.
     """
+    start = time.process_time()
     cap = _resolve_cap(cap)
     n = eps0.n
     d = eps0.d
     diag_d = tuple(tuple(x if i == j else 0 for j in range(n))
                    for i, x in enumerate(d))
+    ident = tuple(range(n))
+    clusters = []
+    cluster_of = {}  # frozenset of c-vectors -> cluster id
+    memo = {}  # (cluster id, direction) -> (cluster id, tau)
+    checked = set()  # cluster ids whose matrix passed the finite-type test
     vertices = []
-    index = {}
+    labels = []  # vid -> (cluster id, p)
+    index = {}  # (cluster id, p) -> vid
     mut_edges = {}
     perm_edges = {}
-    transpositions = eps0.admissible_transpositions() if include_permutations else []
+    transpositions = ([s.images for s in eps0.admissible_transpositions()]
+                      if include_permutations else [])
     queue = deque()
 
     def pattern_so_far():
         return ExchangePattern(vertices, mut_edges, perm_edges, type_tag,
-                               include_permutations, cap)
+                               include_permutations, cap,
+                               clusters=len(clusters),
+                               bfs_s=time.process_time() - start)
 
-    def add(eps, C, Cdual, G, Fs, path):
+    def new_cluster(eps, C, Cdual, G, Fs):
+        cluster_of[frozenset(C)] = len(clusters)
+        clusters.append(_Cluster(eps, C, Cdual, G, Fs, f_matrix(Fs),
+                                 {row: i for i, row in enumerate(C)}))
+        return len(clusters) - 1
+
+    def mutate(c, q):
+        """(cluster', tau) reached from cluster c by mutation q."""
+        hit = memo.get((c, q))
+        if hit is not None:
+            return hit
+        src = clusters[c]
+        eps = src.eps.mutate(q)
+        C = mutate_c_matrix(src.C, src.eps, q)
+        target = cluster_of.get(frozenset(C))
+        if target is None:
+            target = new_cluster(eps, C,
+                                 mutate_c_matrix(src.Cdual, -src.eps, q),
+                                 mutate_g_matrix(src.G, src.C, src.eps, q),
+                                 mutate_F(src.Fs, src.C, src.eps, q))
+            tau = ident
+        else:
+            tau = _landing_perm(clusters[target], C)
+            if not _is_relabeling(clusters[target], tau, eps, C):
+                raise InternalConsistencyError(
+                    f"mutation {q} of cluster {c} lands in cluster {target} "
+                    f"by the relabeling {tau}, which does not carry its "
+                    "canonical seed to the landed one")
+        inverse = [0] * n
+        for i, t in enumerate(tau):
+            inverse[t] = i
+        # mutation is an involution: cluster' by tau[q] returns to c
+        memo[(c, q)] = (target, tau)
+        memo[(target, tau[q])] = (c, tuple(inverse))
+        return target, tau
+
+    def add(c, p, path):
         vid = len(vertices)
         if vid >= cap:
             raise PatternBudgetError(
                 f"exchange graph exceeds {cap} vertices; the mutation class "
                 "does not look finite (raise the cap via CLUSTER_QUAKE_CAP "
                 "if it is)", partial=pattern_so_far())
+        cl = clusters[c]
+        e = cl.eps.entries
+        eps = ExchangeMatrix(tuple(tuple(e[a][b] for b in p) for a in p), d)
+        C, Cdual, G, Fs, Fmat = (tuple(m[a] for a in p) for m in (
+            cl.C, cl.Cdual, cl.G, cl.Fs, cl.Fmat))
         if not _duality_holds(C, G, d, diag_d):
             raise InternalConsistencyError(
                 f"vertex {vid}: C * diag(d) * G^T != diag(d)")
         vertices.append(PatternVertex(
-            id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, Fmat=f_matrix(Fs),
+            id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, Fmat=Fmat,
             path=path))
-        index[(eps.entries, C)] = vid
+        labels.append((c, p))
+        index[(c, p)] = vid
         queue.append(vid)
         return vid
 
-    ident = intmat.identity(n)
-    add(eps0, ident, ident, ident,
-        tuple(FPolynomial.constant(n) for _ in range(n)), ())
+    ident_m = intmat.identity(n)
+    new_cluster(eps0, ident_m, ident_m, ident_m,
+                tuple(FPolynomial.constant(n) for _ in range(n)))
+    add(0, ident, ())
     while queue:
-        cur = vertices[queue.popleft()]
-        vid, eps, C = cur.id, cur.eps, cur.C
-        bad = _two_finite_violation(eps)
-        if bad is not None:
-            i, j = bad
-            product = abs(eps.entries[i][j] * eps.entries[j][i])
-            raise NotFiniteTypeError(
-                f"exchange matrix at vertex {vid} has |eps_{i}{j} * "
-                f"eps_{j}{i}| = {product} > 3; the mutation class is not of "
-                "finite type", partial=pattern_so_far())
+        vid = queue.popleft()
+        c, p = labels[vid]
+        path = vertices[vid].path
+        if c not in checked:
+            # the first vertex popped from a cluster; relabeling keeps
+            # |eps_ij * eps_ji| over the pairs, so one test per cluster
+            checked.add(c)
+            eps = vertices[vid].eps
+            bad = _two_finite_violation(eps)
+            if bad is not None:
+                i, j = bad
+                product = abs(eps.entries[i][j] * eps.entries[j][i])
+                raise NotFiniteTypeError(
+                    f"exchange matrix at vertex {vid} has |eps_{i}{j} * "
+                    f"eps_{j}{i}| = {product} > 3; the mutation class is "
+                    "not of finite type", partial=pattern_so_far())
         for k in range(n):
             if (vid, k) in mut_edges:
                 continue
-            new_eps = eps.mutate(k)
-            new_c = mutate_c_matrix(C, eps, k)
-            wid = index.get((new_eps.entries, new_c))
+            target, tau = mutate(c, p[k])
+            q = tuple(tau[a] for a in p)
+            wid = index.get((target, q))
             if wid is None:
-                wid = add(new_eps, new_c,
-                          mutate_c_matrix(cur.Cdual, -eps, k),
-                          mutate_g_matrix(cur.G, C, eps, k),
-                          mutate_F(cur.Fs, C, eps, k),
-                          cur.path + (("mu", k),))
+                wid = add(target, q, path + (("mu", k),))
             mut_edges[(vid, k)] = wid
             mut_edges[(wid, k)] = vid
-        for sigma in transpositions:
-            if (vid, sigma.images) in perm_edges:
+        for images in transpositions:
+            if (vid, images) in perm_edges:
                 continue
-            new_eps = eps.relabel(sigma)
-            new_c = _steps.apply_perm(C, sigma)
-            wid = index.get((new_eps.entries, new_c))
+            # row i of the relabeled seed is row images^-1(i) = images(i)
+            # (a transposition is its own inverse)
+            q = tuple(p[j] for j in images)
+            wid = index.get((c, q))
             if wid is None:
-                wid = add(new_eps, new_c,
-                          _steps.apply_perm(cur.Cdual, sigma),
-                          _steps.apply_perm(cur.G, sigma),
-                          _steps.apply_perm(cur.Fs, sigma),
-                          cur.path + (("perm", sigma.images),))
-            perm_edges[(vid, sigma.images)] = wid
-            perm_edges[(wid, sigma.images)] = vid
+                wid = add(c, q, path + (("perm", images),))
+            perm_edges[(vid, images)] = wid
+            perm_edges[(wid, images)] = vid
     return pattern_so_far()
 
 

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import clusterquake
 from clusterquake.cli import main
+
+SRC = os.path.dirname(os.path.dirname(clusterquake.__file__))
 
 
 def run(capsys, *argv):
@@ -194,3 +200,31 @@ def test_malformed_matrix_is_a_usage_error(capsys, matrix, why):
 def test_bad_coordinate_is_a_usage_error(capsys, L, why):
     code, out, err = run(capsys, "quake", f"--L={L}")
     assert code == 2 and err.startswith("error:") and why in err
+
+
+def test_enumerate_stats_go_to_stderr(capsys):
+    _, plain, _ = run(capsys, "enumerate", "--type", "B3")
+    code, out, err = run(capsys, "enumerate", "--type", "B3", "--stats")
+    assert code == 0 and out == plain
+    lines = err.splitlines()
+    assert len(lines) == 1
+    stats = json.loads(lines[0])
+    assert stats["vertices"] == 40 and stats["cones"] == 20
+    assert stats["clusters"] == 20
+
+
+def test_cli_import_leaves_numpy_out():
+    # the estimators module is registered at import, unexecuted
+    code = ("import sys, clusterquake.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "assert 'clusterquake.estimators' in sys.modules\n"
+            "import clusterquake\n"
+            "T = clusterquake.EarthquakeTransformer\n"
+            "assert T is sys.modules['clusterquake.estimators']"
+            ".EarthquakeTransformer\n"
+            "assert 'EarthquakeTransformer' in clusterquake.__all__\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

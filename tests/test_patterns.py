@@ -1,4 +1,5 @@
 import time
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,14 @@ from clusterquake import (
     pattern_from_type,
     seed_from_type,
 )
-from clusterquake import intmat, patterns
-from clusterquake.patterns import mutate_c_matrix
+from clusterquake import _steps, intmat, patterns
+from clusterquake.fpoly import FPolynomial, f_matrix
+from clusterquake.patterns import (
+    ExchangePattern,
+    PatternVertex,
+    mutate_c_matrix,
+    mutate_g_matrix,
+)
 
 ENUMERATE_TYPES = ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3",
                    "A4", "B4", "C4", "D4", "F4"]
@@ -57,6 +64,65 @@ def conjugate_by_diag(d, m):
             new_row.append(int(val))
         out.append(tuple(new_row))
     return tuple(out)
+
+
+def labeled_bfs_oracle(eps0, include_permutations=True, type_tag="custom"):
+    """The labeled-seed BFS as it was before the per-cluster memo: every
+    labeled seed is mutated and relabeled with the exact recursions
+    (ExchangeMatrix.relabel and _steps.apply_perm on relabel edges) and
+    deduplicated by (eps, C).  Kept as the reference for enumerate_pattern
+    on finite types."""
+    n = eps0.n
+    vertices, index, mut_edges, perm_edges = [], {}, {}, {}
+    transpositions = (eps0.admissible_transpositions()
+                      if include_permutations else [])
+    queue = deque()
+
+    def add(eps, C, Cdual, G, Fs, path):
+        vid = len(vertices)
+        vertices.append(PatternVertex(
+            id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, Fmat=f_matrix(Fs),
+            path=path))
+        index[(eps.entries, C)] = vid
+        queue.append(vid)
+        return vid
+
+    ident = intmat.identity(n)
+    add(eps0, ident, ident, ident,
+        tuple(FPolynomial.constant(n) for _ in range(n)), ())
+    while queue:
+        cur = vertices[queue.popleft()]
+        vid, eps, C = cur.id, cur.eps, cur.C
+        for k in range(n):
+            if (vid, k) in mut_edges:
+                continue
+            new_eps = eps.mutate(k)
+            new_c = mutate_c_matrix(C, eps, k)
+            wid = index.get((new_eps.entries, new_c))
+            if wid is None:
+                wid = add(new_eps, new_c,
+                          mutate_c_matrix(cur.Cdual, -eps, k),
+                          mutate_g_matrix(cur.G, C, eps, k),
+                          patterns.mutate_F(cur.Fs, C, eps, k),
+                          cur.path + (("mu", k),))
+            mut_edges[(vid, k)] = wid
+            mut_edges[(wid, k)] = vid
+        for sigma in transpositions:
+            if (vid, sigma.images) in perm_edges:
+                continue
+            new_eps = eps.relabel(sigma)
+            new_c = _steps.apply_perm(C, sigma)
+            wid = index.get((new_eps.entries, new_c))
+            if wid is None:
+                wid = add(new_eps, new_c,
+                          _steps.apply_perm(cur.Cdual, sigma),
+                          _steps.apply_perm(cur.G, sigma),
+                          _steps.apply_perm(cur.Fs, sigma),
+                          cur.path + (("perm", sigma.images),))
+            perm_edges[(vid, sigma.images)] = wid
+            perm_edges[(wid, sigma.images)] = vid
+    return ExchangePattern(vertices, mut_edges, perm_edges, type_tag,
+                           include_permutations, None)
 
 
 def a2():
@@ -316,3 +382,64 @@ def test_unimodular_cone_matrices():
         assert intmat.matmul(m, inv) == intmat.identity(3)
         for k in range(3):
             assert P.ray(v.id, k) == intmat.column(m, k)
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+@pytest.mark.parametrize("include_permutations", [True, False])
+def test_cluster_memo_matches_labeled_bfs_oracle(label, include_permutations):
+    eps0 = seed_from_type(label)
+    P = enumerate_pattern(eps0, include_permutations=include_permutations,
+                          type_tag=label)
+    oracle = labeled_bfs_oracle(eps0, include_permutations, label)
+    assert P.to_json_obj() == oracle.to_json_obj()
+    assert P.vertices == oracle.vertices
+    assert P.mut_edges == oracle.mut_edges
+    assert P.perm_edges == oracle.perm_edges
+    assert ([(c.vertex_id, c.generators, c.members) for c in P.fan()]
+            == [(c.vertex_id, c.generators, c.members) for c in oracle.fan()])
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_f_polynomials_mutated_once_per_new_cluster(label, monkeypatch):
+    calls = []
+    real = patterns.mutate_F
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(patterns, "mutate_F", counting)
+    P = pattern_from_type(label)
+    clusters = len({frozenset(v.C) for v in P.vertices})
+    assert len(calls) == clusters - 1
+    assert P.stats["clusters"] == clusters
+
+
+def test_wrong_landing_relabeling_is_caught(monkeypatch):
+    real = patterns._landing_perm
+    monkeypatch.setattr(patterns, "_landing_perm",
+                        lambda cluster, C: real(cluster, C)[::-1])
+    with pytest.raises(InternalConsistencyError, match="relabeling"):
+        pattern_from_type("A2")
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_relabel_edges_are_involutions(label):
+    # route() walks a stored relabel edge backwards as it is
+    P = pattern_from_type(label)
+    for _, images in P.perm_edges:
+        assert all(images[images[i]] == i for i in range(len(images)))
+
+
+def test_stats():
+    P = pattern_from_type("D4")
+    stats = P.stats
+    assert {k: stats[k] for k in ("vertices", "clusters", "mutation_edges",
+                                  "relabel_edges", "cones")} == {
+        # four mutations and six transpositions per vertex, both ways
+        "vertices": 1200, "clusters": 50, "mutation_edges": 1200 * 4 // 2,
+        "relabel_edges": 1200 * 6 // 2, "cones": 50}
+    assert stats["bfs_s"] > 0 and stats["fan_s"] >= 0
+    assert stats["cone_cache"] == 50 and stats["based_cache"] == 0
+    P.based_matrices(7)
+    assert P.stats["based_cache"] == 1
