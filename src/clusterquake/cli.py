@@ -177,29 +177,38 @@ def cmd_dquake(args):
     return 0
 
 
+def _limit_L_rows(pattern, g0, t):
+    """One row per cone and ray: limit_L's estimate, target and error."""
+    rows = []
+    for cone in pattern.fan():
+        for k in range(pattern.n):
+            estimate, target = eq.limit_L(pattern, g0, cone.vertex_id, k, t)
+            err = max(abs(a - b) for a, b in zip(estimate, target))
+            rows.append({"v": cone.vertex_id, "k": k,
+                         "estimate": list(estimate),
+                         "target": list(target), "err": err})
+    return rows
+
+
+def _limit_g_rows(pattern, M):
+    """One row per vertex: limit_g's matrix and target at log-size M."""
+    g = PositivePoint(pattern.base, (math.exp(M),) * pattern.n)
+    rows = []
+    for v in pattern.vertices:
+        u_matrix, target = eq.limit_g(pattern, g, v.id)
+        err = max(abs(a - b) for ra, rb in zip(u_matrix, target)
+                  for a, b in zip(ra, rb))
+        rows.append({"v": v.id, "u_matrix": [list(r) for r in u_matrix],
+                     "target": [list(r) for r in target], "err": err})
+    return rows
+
+
 def cmd_limits(args):
     pattern = _pattern(args)
-    rows = []
     if args.mode == "L":
-        g0 = _g0(args, pattern)
-        for cone in pattern.fan():
-            for k in range(pattern.n):
-                estimate, target = eq.limit_L(pattern, g0, cone.vertex_id,
-                                              k, args.t)
-                err = max(abs(a - b) for a, b in zip(estimate, target))
-                rows.append({"v": cone.vertex_id, "k": k,
-                             "estimate": list(estimate),
-                             "target": list(target), "err": err})
+        rows = _limit_L_rows(pattern, _g0(args, pattern), args.t)
     else:
-        coord = math.exp(args.M)
-        g = PositivePoint(pattern.base, (coord,) * pattern.n)
-        for v in pattern.vertices:
-            u_matrix, target = eq.limit_g(pattern, g, v.id)
-            err = max(abs(a - b) for ra, rb in zip(u_matrix, target)
-                      for a, b in zip(ra, rb))
-            rows.append({"v": v.id,
-                         "u_matrix": [list(r) for r in u_matrix],
-                         "target": [list(r) for r in target], "err": err})
+        rows = _limit_g_rows(pattern, args.M)
     _emit_json({"mode": args.mode, "rows": rows,
                 "max_err": max(r["err"] for r in rows)}, args)
     return 0
@@ -261,8 +270,7 @@ def cmd_plot_grid(args):
 def _suite_matrices(pattern, rng, report):
     worst = 0
     for v in pattern.vertices:
-        dual = intmat.inverse_unimodular(
-            pattern.opposite().vertex(pattern.opposite_vertex(v.id)).C)
+        dual = intmat.inverse_unimodular(v.Cdual)
         ok_dual = dual == pattern.cone_matrix(v.id)
         ok_fugy, residual = pattern.fuGy_check(v.id)
         worst = max(worst, max(abs(x) for row in residual for x in row))
@@ -337,16 +345,8 @@ def _suite_derivatives(pattern, rng, report, samples=200, tol=1e-6):
 
 def _suite_limits(pattern, rng, report):
     g0 = PositivePoint(pattern.base, (1,) * pattern.n)
-    errs_by_t = {}
-    for t in (10.0, 100.0, 1000.0):
-        worst = 0.0
-        for cone in pattern.fan():
-            for k in range(pattern.n):
-                estimate, target = eq.limit_L(pattern, g0, cone.vertex_id,
-                                              k, t)
-                worst = max(worst, max(abs(a - b)
-                                       for a, b in zip(estimate, target)))
-        errs_by_t[t] = worst
+    errs_by_t = {t: max(r["err"] for r in _limit_L_rows(pattern, g0, t))
+                 for t in (10.0, 100.0, 1000.0)}
     monotone = errs_by_t[10.0] >= errs_by_t[100.0] >= errs_by_t[1000.0]
     if errs_by_t[1000.0] <= 1e-2 and monotone:
         report.ok("limits.L", f"errs {errs_by_t[10.0]:.2e} >= "
@@ -355,17 +355,8 @@ def _suite_limits(pattern, rng, report):
     else:
         report.fail("limits.L", f"errs by t: {errs_by_t}")
 
-    def u_err(M):
-        g = PositivePoint(pattern.base, (math.exp(M),) * pattern.n)
-        worst = 0.0
-        for v in pattern.vertices:
-            u_matrix, target = eq.limit_g(pattern, g, v.id)
-            worst = max(worst, max(abs(a - b)
-                                   for ra, rb in zip(u_matrix, target)
-                                   for a, b in zip(ra, rb)))
-        return worst
-
-    err30, err10 = u_err(30.0), u_err(10.0)
+    err30, err10 = (max(r["err"] for r in _limit_g_rows(pattern, M))
+                    for M in (30.0, 10.0))
     if err30 <= 1e-3 and err30 < err10:
         report.ok("limits.g", f"err(M=30)={err30:.2e} < err(M=10)="
                               f"{err10:.2e}")

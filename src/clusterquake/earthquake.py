@@ -31,7 +31,7 @@ from .points import (
     scale,
     tropical_transport,
 )
-from .seeds import ExchangeMatrix, Permutation
+from .seeds import ExchangeMatrix
 from . import _steps
 
 
@@ -124,6 +124,15 @@ def u_coords(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
     return tuple(a - b for a, b in zip(log_e, log_g))
 
 
+def _tangent_mutation(pairs, eps, k):
+    """One mutation step of (delta_i, log X_i) pairs: delta is pushed
+    through the Jacobian at the log-coordinates the step starts from."""
+    delta, log_at = zip(*pairs)
+    jac = _steps.jac_mutation(log_at, eps, k)
+    return tuple(zip(intmat.matvec(jac, delta),
+                     _steps.log_mutation(log_at, eps, k)))
+
+
 def dquake(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
            method: str = "analytic", fd_step: float = 1e-4) -> TangentVector:
     """One-sided derivative d/dt|_{t=0+} of log X(quake(g, tL)) in g's chart.
@@ -146,17 +155,8 @@ def dquake(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
     delta = tuple(float(c) for c in tropical_transport(L, P, v).x)
     log_at = log_transport(tuple(math.log(float(x)) for x in g.X),
                            P, g.chart, v)
-    for at, edge in P.route(v, g.chart):
-        eps = P.vertex(at).eps
-        if edge[0] == "mu":
-            jac = _steps.jac_mutation(log_at, eps.entries, edge[1])
-            delta = intmat.matvec(jac, delta)
-            log_at = _steps.log_mutation(log_at, eps.entries, edge[1])
-        else:
-            sigma = Permutation(edge[1])
-            delta = _steps.apply_perm(delta, sigma)
-            log_at = _steps.apply_perm(log_at, sigma)
-    return TangentVector(g, g.chart, delta)
+    pairs = P.walk(tuple(zip(delta, log_at)), v, g.chart, _tangent_mutation)
+    return TangentVector(g, g.chart, tuple(dx for dx, _ in pairs))
 
 
 def limit_L(P: ExchangePattern, g0: PositivePoint, v: int, k: int, t: float):
@@ -174,9 +174,7 @@ def limit_L(P: ExchangePattern, g0: PositivePoint, v: int, k: int, t: float):
                            P, g0.chart, P.base)
     log_e, _ = quake_log(P, log_g0, scale(ray, t))
     estimate = tuple(c / t for c in log_e)
-    opp = P.opposite()
-    c_minus = opp.based_matrices(P.opposite_vertex(v)).C
-    target = intmat.column(c_minus, k)
+    target = intmat.column(P.opposite_cone_matrix(v), k)
     return estimate, target
 
 

@@ -14,10 +14,6 @@ from .errors import InternalConsistencyError
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def freeze(rows) -> IntMatrix:
-    return tuple(tuple(r) for r in rows)
-
-
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -20,11 +20,14 @@ Conventions (all 0-based):
     duality of Nakanishi-Zelevinsky it is the inverse of cone_matrix(v),
     so its rows cut out the cone of v.
   * G-matrix rows are g-vectors, g'_k = -g_k + sum_i [-s * eps_ki]+ g_i
-    with s the tropical sign of c_k (Fomin-Zelevinsky IV); every vertex
+    with s the tropical sign of c_k (Fomin-Zelevinsky IV); every cluster
     is checked against the duality C * diag(d) * G^T = diag(d).
   * cone_matrix(v) = C^s_{v->v0}; its columns generate the cone of v in
     base-chart coordinates and are computed independently of the row
     recursions by transporting basis vectors along the reversed path.
+  * opposite_cone_matrix(v) = C^{-s}_{v->v0} = diag(d) G^T diag(d)^-1;
+    with Cdual it gives the opposite-sign matrices, and opposite(), a
+    second enumeration, stays as their oracle.
 """
 
 from __future__ import annotations
@@ -92,6 +95,11 @@ def mutate_g_matrix(G, C, eps: ExchangeMatrix, k: int):
     return G[:k] + (tuple(gk),) + G[k + 1:]
 
 
+def _trop_columns(M, eps, k):
+    """trop_mutation applied to each column of M (rows are directions)."""
+    return tuple(zip(*(_steps.trop_mutation(col, eps, k) for col in zip(*M))))
+
+
 @dataclass(frozen=True)
 class PatternVertex:
     id: int
@@ -134,6 +142,7 @@ class ExchangePattern:
         self._seq_cache = {}
         self._based_cache = {}
         self._cone_cache = {}
+        self._opp_cone_cache = {}
         self._opposite = None
         self._opp_map = None
         self._fan = None
@@ -200,6 +209,24 @@ class ExchangePattern:
             steps.append((s_dst[pos], p_dst[pos]))
         return steps
 
+    def walk(self, state, src, dst, mutation):
+        """Carry `state`, a sequence indexed by direction, from chart src
+        to chart dst along route(src, dst).
+
+        A mutation edge k becomes mutation(state, eps, k), with eps the
+        entries of the exchange matrix of the chart the step starts from;
+        a relabel edge permutes the entries of state."""
+        if len(state) != self.n:
+            raise ValueError(f"point has {len(state)} coordinates, "
+                             f"pattern has rank {self.n}")
+        for at, edge in self.route(src, dst):
+            if edge[0] == "mu":
+                state = mutation(state, self.vertices[at].eps.entries,
+                                 edge[1])
+            else:
+                state = _steps.apply_perm(state, Permutation(edge[1]))
+        return state
+
     # -- per-vertex derived data ------------------------------------------
 
     def tropical_sign(self, vid, k):
@@ -210,19 +237,8 @@ class ExchangePattern:
         """C^s_{v->v0}: transport of the chart-v basis vectors to the base
         chart (columns are the cone generators)."""
         if vid not in self._cone_cache:
-            n = self.n
-            cols = []
-            steps = self.route(vid, self.base)
-            for j in range(n):
-                x = tuple(1 if i == j else 0 for i in range(n))
-                for at, edge in steps:
-                    eps = self.vertices[at].eps
-                    if edge[0] == "mu":
-                        x = _steps.trop_mutation(x, eps.entries, edge[1])
-                    else:
-                        x = _steps.apply_perm(x, Permutation(edge[1]))
-                cols.append(x)
-            self._cone_cache[vid] = tuple(zip(*cols))
+            self._cone_cache[vid] = self.walk(
+                intmat.identity(self.n), vid, self.base, _trop_columns)
         return self._cone_cache[vid]
 
     def cone_matrix_inv(self, vid):
@@ -234,26 +250,41 @@ class ExchangePattern:
         """C-, F-, and F-degree matrices of the pattern re-based at vid
         with target the original base (C^s_{v->v0}, F^{v->v0})."""
         if vid not in self._based_cache:
-            n = self.n
-            C = intmat.identity(n)
-            Fs = tuple(FPolynomial.constant(n) for _ in range(n))
-            for at, edge in self.route(vid, self.base):
-                eps = self.vertices[at].eps
-                if edge[0] == "mu":
-                    k = edge[1]
-                    Fs = mutate_F(Fs, C, eps, k)
-                    C = mutate_c_matrix(C, eps, k)
-                else:
-                    sigma = Permutation(edge[1])
-                    C = _steps.apply_perm(C, sigma)
-                    Fs = _steps.apply_perm(Fs, sigma)
+            d = self.d
+
+            def step(rows, eps, k):
+                C, Fs = zip(*rows)
+                eps = ExchangeMatrix(eps, d)
+                return tuple(zip(mutate_c_matrix(C, eps, k),
+                                 mutate_F(Fs, C, eps, k)))
+
+            start = tuple((row, FPolynomial.constant(self.n))
+                          for row in intmat.identity(self.n))
+            C, Fs = zip(*self.walk(start, vid, self.base, step))
             self._based_cache[vid] = BasedMatrices(C, Fs, f_matrix(Fs))
         return self._based_cache[vid]
+
+    def opposite_cone_matrix(self, vid):
+        """C^{-s}_{v->v0}, the cone matrix of the opposite pattern at the
+        same path, read off the G-matrix by tropical duality: entry (i, j)
+        is d_i * G_ji / d_j (Nakanishi-Zelevinsky)."""
+        if vid not in self._opp_cone_cache:
+            d, G = self.d, self.vertices[vid].G
+            scaled = [[(di * G[j][i], dj) for j, dj in enumerate(d)]
+                      for i, di in enumerate(d)]
+            if any(a % b for row in scaled for a, b in row):
+                raise InternalConsistencyError(
+                    f"vertex {vid}: diag(d) * G^T * diag(d)^-1 is not "
+                    "integral")
+            self._opp_cone_cache[vid] = tuple(
+                tuple(a // b for a, b in row) for row in scaled)
+        return self._opp_cone_cache[vid]
 
     # -- opposite class ----------------------------------------------------
 
     def opposite(self) -> "ExchangePattern":
-        """Pattern of the opposite mutation class (all matrices negated)."""
+        """Pattern of the opposite mutation class (all matrices negated),
+        kept as the oracle of Cdual and opposite_cone_matrix."""
         if self._opposite is None:
             self._opposite = enumerate_pattern(
                 -self.eps0, cap=self.cap,
@@ -283,8 +314,7 @@ class ExchangePattern:
         lhs = intmat.matmul(self.eps0.entries, based.Fmat)
         lhs = tuple(tuple(c + e for c, e in zip(crow, erow))
                     for crow, erow in zip(based.C, lhs))
-        opp = self.opposite()
-        rhs = opp.based_matrices(self.opposite_vertex(vid)).C
+        rhs = self.opposite_cone_matrix(vid)
         residual = tuple(tuple(a - b for a, b in zip(ra, rb))
                          for ra, rb in zip(lhs, rhs))
         ok = all(x == 0 for row in residual for x in row)
@@ -292,13 +322,9 @@ class ExchangePattern:
 
     def fc_product(self, vid, sign=1):
         """F^s_{v->v0} * C^{(+/-)s}_{v0->v} and whether it is entrywise <= 0."""
-        fmat = self.based_matrices(vid).Fmat
-        if sign >= 0:
-            target_c = self.vertices[vid].C
-        else:
-            opp = self.opposite()
-            target_c = opp.vertices[self.opposite_vertex(vid)].C
-        product = intmat.matmul(fmat, target_c)
+        v = self.vertices[vid]
+        product = intmat.matmul(self.based_matrices(vid).Fmat,
+                                v.C if sign >= 0 else v.Cdual)
         ok = all(x <= 0 for row in product for x in row)
         return product, ok
 
@@ -492,6 +518,11 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                                bfs_s=time.process_time() - start)
 
     def new_cluster(eps, C, Cdual, G, Fs):
+        # a labeled vertex is the cluster's seed with its rows permuted by
+        # a d-preserving p, so the identity then holds there as well
+        if not _duality_holds(C, G, d, diag_d):
+            raise InternalConsistencyError(
+                f"cluster {len(clusters)}: C * diag(d) * G^T != diag(d)")
         cluster_of[frozenset(C)] = len(clusters)
         clusters.append(_Cluster(eps, C, Cdual, G, Fs, f_matrix(Fs),
                                  {row: i for i, row in enumerate(C)}))
@@ -539,9 +570,6 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         eps = ExchangeMatrix(tuple(tuple(e[a][b] for b in p) for a in p), d)
         C, Cdual, G, Fs, Fmat = (tuple(m[a] for a in p) for m in (
             cl.C, cl.Cdual, cl.G, cl.Fs, cl.Fmat))
-        if not _duality_holds(C, G, d, diag_d):
-            raise InternalConsistencyError(
-                f"vertex {vid}: C * diag(d) * G^T != diag(d)")
         vertices.append(PatternVertex(
             id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, Fmat=Fmat,
             path=path))

@@ -16,7 +16,6 @@ from typing import NamedTuple
 from . import _steps, intmat
 from .errors import CompletenessError, CoordinateError
 from .patterns import ExchangePattern
-from .seeds import Permutation
 
 
 def _finite(v):
@@ -54,37 +53,23 @@ class LocatedCone(NamedTuple):
     boundary: tuple  # per-coordinate "on the boundary" flags
 
 
-def _walk(P: ExchangePattern, coords, steps, step_mutation):
-    if len(coords) != P.n:
-        raise ValueError(
-            f"point has {len(coords)} coordinates, pattern has rank {P.n}")
-    for at, edge in steps:
-        eps = P.vertex(at).eps
-        if edge[0] == "mu":
-            coords = step_mutation(coords, eps.entries, edge[1])
-        else:
-            coords = _steps.apply_perm(coords, Permutation(edge[1]))
-    return coords
-
-
 def tropical_transport(L: TropicalPoint, P: ExchangePattern,
                        target: int) -> TropicalPoint:
     """Piecewise-linear transport of tropical coordinates to another chart."""
-    steps = P.route(L.chart, target)
-    return TropicalPoint(target, _walk(P, L.x, steps, _steps.trop_mutation))
+    return TropicalPoint(target, P.walk(L.x, L.chart, target,
+                                        _steps.trop_mutation))
 
 
 def positive_transport(g: PositivePoint, P: ExchangePattern,
                        target: int) -> PositivePoint:
     """Positive-real transport (exact when coordinates are Fractions)."""
-    steps = P.route(g.chart, target)
-    return PositivePoint(target, _walk(P, g.X, steps, _steps.pos_mutation))
+    return PositivePoint(target, P.walk(g.X, g.chart, target,
+                                        _steps.pos_mutation))
 
 
 def log_transport(logX, P: ExchangePattern, src: int, target: int):
     """positive_transport conjugated by log, overflow-safe (floats)."""
-    steps = P.route(src, target)
-    return _walk(P, tuple(map(float, logX)), steps, _steps.log_mutation)
+    return P.walk(tuple(map(float, logX)), src, target, _steps.log_mutation)
 
 
 def scale(L: TropicalPoint, t) -> TropicalPoint:

@@ -132,6 +132,33 @@ def test_dquake_methods_agree():
         dquake(P, g, TropicalPoint(0, (1.0, 1.0)), method="nope")
 
 
+def test_dquake_in_a_relabeled_chart():
+    # the cone charts are reached by mutations only, so the walk from the
+    # cone to g's chart crosses a relabel edge only when g's chart does
+    P = pattern("D4")
+    chart = next(v.id for v in P.vertices
+                 if v.path and v.path[-1][0] == "perm")
+    parent = P.vertex_sequence(chart)[-2]
+    images = P.vertex(chart).path[-1][1]
+    X = (1.3, 0.7, 1.1, 0.9)
+    # the same point seen from the chart before the relabel edge, whose
+    # coordinate i is coordinate images[i] here (a transposition)
+    g = PositivePoint(chart, X)
+    g_parent = PositivePoint(parent, tuple(X[j] for j in images))
+    crossed = 0
+    for L in [(-1.0, 2.0, -0.5, 1.5), (0.5, -2.0, 1.0, -1.0),
+              (-3.0, -1.0, -2.0, 0.5)]:
+        L = TropicalPoint(0, L)
+        v = cq.locate_cone(L, P).vertex
+        crossed += any(edge[0] == "perm" for _, edge in P.route(v, chart))
+        a = dquake(P, g, L).delta
+        b = dquake(P, g, L, method="finite_difference").delta
+        assert max(abs(x - y) for x, y in zip(a, b)) < 1e-6
+        c = dquake(P, g_parent, L).delta
+        assert max(abs(a[i] - c[j]) for i, j in enumerate(images)) < 1e-12
+    assert crossed == 3
+
+
 def test_dquake_linear_within_cone():
     P = pattern("A2")
     g = PositivePoint(0, (0.7, 1.4))

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from collections import deque
 from fractions import Fraction
@@ -9,11 +10,14 @@ from clusterquake import (
     InternalConsistencyError,
     NotFiniteTypeError,
     PatternBudgetError,
+    PositivePoint,
     enumerate_pattern,
+    limit_L,
     pattern_from_type,
     seed_from_type,
 )
 from clusterquake import _steps, intmat, patterns
+from clusterquake.cli import main
 from clusterquake.fpoly import FPolynomial, f_matrix
 from clusterquake.patterns import (
     ExchangePattern,
@@ -443,3 +447,44 @@ def test_stats():
     assert stats["cone_cache"] == 50 and stats["based_cache"] == 0
     P.based_matrices(7)
     assert P.stats["based_cache"] == 1
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_opposite_sign_matrices_match_opposite_pattern(label):
+    # C^{-s}_{v->v0} read off G, and C^{-s}_{v0->v} = Cdual, against the
+    # second enumeration they replace
+    P = pattern_from_type(label)
+    opp = P.opposite()
+    for v in P.vertices:
+        w = P.opposite_vertex(v.id)
+        assert P.opposite_cone_matrix(v.id) == opp.based_matrices(w).C, v.id
+        assert P.fc_product(v.id, -1)[0] == intmat.matmul(
+            P.based_matrices(v.id).Fmat, opp.vertex(w).C), v.id
+
+
+def test_opposite_sign_matrices_need_no_second_pattern(monkeypatch, capsys):
+    def forbidden(self):
+        raise AssertionError("opposite() enumerated")
+
+    monkeypatch.setattr(ExchangePattern, "opposite", forbidden)
+    P = pattern_from_type("B3")
+    g0 = PositivePoint(0, (1, 2, 1))
+    for v in P.vertices:
+        assert P.fuGy_check(v.id)[0]
+        assert P.fc_product(v.id, -1)[1]
+    for cone in P.fan():
+        estimate, target = limit_L(P, g0, cone.vertex_id, 1, 1000.0)
+        assert max(abs(a - b) for a, b in zip(estimate, target)) < 1e-2
+    assert main(["verify", "--suite", "matrices", "--type", "B3"]) == 0
+    assert capsys.readouterr().out.startswith("PASS matrices")
+
+
+def test_opposite_cone_matrix_must_be_integral():
+    # B2 has d = (1, 2): entry (0, 1) is d_0 * G_10 / d_1 = G_10 / 2
+    P = pattern_from_type("B2")
+    v = P.vertex(0)
+    odd_g = ((1, 0), (1, 1))
+    P.vertices = (dataclasses.replace(v, G=odd_g),) + P.vertices[1:]
+    with pytest.raises(InternalConsistencyError, match="integral"):
+        P.opposite_cone_matrix(0)
+
