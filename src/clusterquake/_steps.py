@@ -102,8 +102,10 @@ def jac_mutation(u, eps, k):
     return tuple(rows)
 
 
-def apply_perm(vec, sigma):
-    """Relabeled coordinates: out_i = vec[sigma^{-1}(i)]."""
-    inv = sigma.inverse()
-    return tuple(vec[inv(i)] for i in range(len(vec)))
+def apply_perm(vec, images):
+    """Relabeled coordinates across a relabel edge: out_i = vec[images[i]].
+
+    A relabel edge is a transposition sigma, its own inverse, so indexing
+    by its images gives out_i = vec[sigma^{-1}(i)]."""
+    return tuple(vec[j] for j in images)
 

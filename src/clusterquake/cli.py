@@ -34,7 +34,7 @@ from .errors import ClusterQuakeError, PreconditionError
 from .horocycle import CentralCharge, conjugacy_residual, glue, \
     horocycle_flow, lift
 from .patterns import enumerate_pattern
-from .points import PositivePoint, TropicalPoint, locate_cone
+from .points import TOL, PositivePoint, TropicalPoint, locate_cone
 from .seeds import ExchangeMatrix, seed_from_type
 
 
@@ -286,7 +286,6 @@ def _suite_matrices(pattern, rng, report):
 
 def _suite_fan(pattern, rng, report, samples=10_000):
     cones = pattern.fan()
-    tol = 1e-9
     interior_overlaps = 0
     for _ in range(samples):
         x = tuple(rng.uniform(-10, 10) for _ in range(pattern.n))
@@ -294,7 +293,7 @@ def _suite_fan(pattern, rng, report, samples=10_000):
         strict = 0
         for cone in cones:
             lam = intmat.matvec(pattern.cone_matrix_inv(cone.vertex_id), x)
-            if all(c > tol for c in lam):
+            if all(c > TOL for c in lam):
                 strict += 1
         if strict > 1:
             interior_overlaps += 1

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .patterns import ExchangePattern, enumerate_pattern
 from .points import (
-    LocatedCone,
+    TOL,
     PositivePoint,
     TropicalPoint,
     locate_cone,
@@ -33,6 +33,9 @@ from .points import (
 )
 from .seeds import ExchangeMatrix
 from . import _steps
+
+# Step h of the Richardson-extrapolated finite difference in dquake.
+FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -60,14 +63,14 @@ def quake_multiplier(P: ExchangePattern, g0: PositivePoint, vid: int,
     return positive_transport(rescaled, P, g0.chart)
 
 
-def quake(P: ExchangePattern, g0: PositivePoint, L: TropicalPoint,
-          tol: float = 1e-9) -> EarthquakeResult:
+def quake(P: ExchangePattern, g0: PositivePoint,
+          L: TropicalPoint) -> EarthquakeResult:
     """The image of g0 under the earthquake along L, in g0's chart.
 
     Raises FloatRangeError when a coordinate of the image (or of a chart
     on the way) leaves the float range; quake_log evaluates those.
     """
-    v = locate_cone(L, P, tol).vertex
+    v = locate_cone(L, P).vertex
     xv = tropical_transport(L, P, v).x
     try:
         g = quake_multiplier(P, g0, v, tuple(math.exp(float(c)) for c in xv))
@@ -78,22 +81,21 @@ def quake(P: ExchangePattern, g0: PositivePoint, L: TropicalPoint,
     return EarthquakeResult(g, v)
 
 
-def quake_log(P: ExchangePattern, log_g0, L: TropicalPoint,
-              tol: float = 1e-9):
+def quake_log(P: ExchangePattern, log_g0, L: TropicalPoint):
     """Base-chart log-coordinates of quake, safe for huge tropical points.
 
     log_g0 are base-chart log-coordinates of the starting point; returns
     (log-coordinates of the image in the base chart, cone vertex).
     """
-    v = locate_cone(L, P, tol).vertex
+    v = locate_cone(L, P).vertex
     xv = tropical_transport(L, P, v).x
     log_gv = log_transport(log_g0, P, P.base, v)
     log_ev = tuple(float(a) + b for a, b in zip(xv, log_gv))
     return log_transport(log_ev, P, v, P.base), v
 
 
-def inverse_quake(P: ExchangePattern, g0: PositivePoint, g: PositivePoint,
-                  tol: float = 1e-9) -> TropicalPoint:
+def inverse_quake(P: ExchangePattern, g0: PositivePoint,
+                  g: PositivePoint) -> TropicalPoint:
     """The tropical point L with quake(P, g0, L) = g (finite type only).
 
     Charts are tried at the cone representatives only: a relabeled
@@ -104,7 +106,7 @@ def inverse_quake(P: ExchangePattern, g0: PositivePoint, g: PositivePoint,
         gv = positive_transport(g, P, v)
         g0v = positive_transport(g0, P, v)
         x = tuple(math.log(float(a) / float(b)) for a, b in zip(gv.X, g0v.X))
-        if all(c >= -tol for c in x):
+        if all(c >= -TOL for c in x):
             return tropical_transport(TropicalPoint(v, x), P, P.base)
     raise HomeomorphismError(
         "no chart realizes the inverse earthquake image; the fan is "
@@ -134,7 +136,7 @@ def _tangent_mutation(pairs, eps, k):
 
 
 def dquake(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
-           method: str = "analytic", fd_step: float = 1e-4) -> TangentVector:
+           method: str = "analytic") -> TangentVector:
     """One-sided derivative d/dt|_{t=0+} of log X(quake(g, tL)) in g's chart.
 
     The analytic path evaluates the tropical coordinates of L in its cone
@@ -143,7 +145,7 @@ def dquake(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
     kept as an independent oracle.
     """
     if method == "finite_difference":
-        h = fd_step
+        h = FD_STEP
         d1 = [c / h for c in u_coords(P, g, scale(L, h), g.chart)]
         d2 = [c / (h / 2) for c in u_coords(P, g, scale(L, h / 2), g.chart)]
         delta = tuple(2 * b - a for a, b in zip(d1, d2))
@@ -206,7 +208,7 @@ def _restrict(matrix, J):
 
 
 def cluster_reduce(P: ExchangePattern, v0: int, J, g0: PositivePoint,
-                   L: TropicalPoint, tol: float = 1e-9) -> float:
+                   L: TropicalPoint) -> float:
     """Residual of the cluster-reduction square for the face of the base
     cone cut out by the directions J.
 
@@ -227,7 +229,6 @@ def cluster_reduce(P: ExchangePattern, v0: int, J, g0: PositivePoint,
         L0 = tropical_transport(L, P, P.base)
     else:
         P0 = enumerate_pattern(P.vertex(v0).eps, cap=P.cap,
-                               include_permutations=P.include_permutations,
                                type_tag=f"{P.type_tag}@v{v0}")
         g0_0 = PositivePoint(0, positive_transport(g0, P, v0).X)
         L0 = TropicalPoint(0, tropical_transport(L, P, v0).x)
@@ -244,7 +245,7 @@ def cluster_reduce(P: ExchangePattern, v0: int, J, g0: PositivePoint,
     in_star = False
     for w in sorted(star):
         xw = tropical_transport(L0, P0, w).x
-        if all(c >= -tol for c in xw):
+        if all(c >= -TOL for c in xw):
             in_star = True
             break
     if not in_star:
@@ -254,7 +255,6 @@ def cluster_reduce(P: ExchangePattern, v0: int, J, g0: PositivePoint,
     image = quake(P0, g0_0, L0).g.X
     reduced_seed = ExchangeMatrix.make(_restrict(P0.eps0.entries, J))
     PJ = enumerate_pattern(reduced_seed, cap=P.cap,
-                           include_permutations=P.include_permutations,
                            type_tag=f"{P.type_tag}|J")
     gJ = PositivePoint(0, tuple(g0_0.X[j] for j in J))
     LJ = TropicalPoint(0, tuple(L0.x[j] for j in J))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CompletenessError, CoordinateError, HomeomorphismError
 from .patterns import ExchangePattern, enumerate_pattern, pattern_from_type
-from .points import PositivePoint
+from .points import TOL, PositivePoint
 from .seeds import ExchangeMatrix
 
 
@@ -122,19 +122,18 @@ class EarthquakeTransformer:
         Base point in the initial chart; all ones when omitted.
     cap : int, optional
         Enumeration budget forwarded to the pattern builder.
-    tol : float, default 1e-9
-        Cone-membership tolerance.
+
+    Cone membership uses points.TOL, as locate_cone does.
     """
 
-    def __init__(self, type_or_matrix="A2", g0=None, cap=None, tol=1e-9):
+    def __init__(self, type_or_matrix="A2", g0=None, cap=None):
         self.type_or_matrix = type_or_matrix
         self.g0 = g0
         self.cap = cap
-        self.tol = tol
 
     def get_params(self, deep=True):
         return {"type_or_matrix": self.type_or_matrix, "g0": self.g0,
-                "cap": self.cap, "tol": self.tol}
+                "cap": self.cap}
 
     def set_params(self, **params):
         for key, value in params.items():
@@ -180,7 +179,7 @@ class EarthquakeTransformer:
 
     def _by_cone(self, arr, chart_coords, error):
         """Yield (cone, row indices, chart coordinates) assigning each row
-        to the first cone whose chart_coords(cone, rows) are >= -tol.
+        to the first cone whose chart_coords(cone, rows) are >= -TOL.
 
         Only rows that no earlier cone took are passed on, so no array
         spans both rows and cones.
@@ -190,7 +189,7 @@ class EarthquakeTransformer:
             if not todo.size:
                 return
             coords = chart_coords(cone, arr[todo])
-            hit = (coords >= -self.tol).all(axis=1)
+            hit = (coords >= -TOL).all(axis=1)
             if hit.any():
                 yield cone, todo[hit], coords[hit]
                 todo = todo[~hit]

@@ -59,16 +59,6 @@ class FPolynomial:
                 out.pop(exp, None)
         return FPolynomial(self.nvars, out)
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            c = out.get(exp, 0) - coef
-            if c:
-                out[exp] = c
-            else:
-                out.pop(exp, None)
-        return FPolynomial(self.nvars, out)
-
     def __mul__(self, other):
         out = {}
         for e1, c1 in self.terms.items():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BoundaryError, GluingDomainError
 from .patterns import ExchangePattern
-from .points import PositivePoint, TropicalPoint, locate_cone, \
+from .points import TOL, PositivePoint, TropicalPoint, locate_cone, \
     positive_transport, scale, tropical_transport
 from .earthquake import quake
 
@@ -35,8 +35,7 @@ class CentralCharge:
                 raise ValueError(f"entry {i} of a central charge is zero")
 
 
-def glue(Z: CentralCharge, P: ExchangePattern, k: int,
-         tol: float = 1e-9) -> CentralCharge:
+def glue(Z: CentralCharge, P: ExchangePattern, k: int) -> CentralCharge:
     """Cross the k-th wall: defined only where z_k is real and nonzero.
 
     An involution (crossing back from the adjacent chart returns the
@@ -44,10 +43,10 @@ def glue(Z: CentralCharge, P: ExchangePattern, k: int,
     the same pair (g, L) with L on the shared cone face.
     """
     z = Z.z
-    if abs(z[k].imag) > tol:
+    if abs(z[k].imag) > TOL:
         raise GluingDomainError(
             f"glue direction {k} needs a real coordinate there, got {z[k]}")
-    if abs(z[k].real) <= tol:
+    if abs(z[k].real) <= TOL:
         raise GluingDomainError(f"glue direction {k} hit the puncture z_{k}=0")
     eps = P.vertex(Z.chart).eps.entries
     s = 1 if z[k].real > 0 else -1
@@ -66,14 +65,14 @@ def horocycle_flow(Z: CentralCharge, t: float) -> CentralCharge:
         tuple(complex(c.real + t * c.imag, c.imag) for c in Z.z))
 
 
-def lift(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
-         tol: float = 1e-9) -> CentralCharge:
+def lift(P: ExchangePattern, g: PositivePoint,
+         L: TropicalPoint) -> CentralCharge:
     """Central charge of (g, L): log X^(v)(g) + i x^(v)(L), v = cone of L.
 
     L must be interior to its cone; on a wall the imaginary part of some
     coordinate vanishes and the lift is ambiguous between charts.
     """
-    located = locate_cone(L, P, tol)
+    located = locate_cone(L, P)
     if any(located.boundary):
         walls = [i for i, b in enumerate(located.boundary) if b]
         raise BoundaryError(
@@ -88,12 +87,11 @@ def lift(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
 
 
 def conjugacy_residual(P: ExchangePattern, g: PositivePoint,
-                       L: TropicalPoint, t: float,
-                       tol: float = 1e-9) -> float:
+                       L: TropicalPoint, t: float) -> float:
     """max_i |lift(quake(g, tL), L)_i - horocycle_flow(lift(g, L), t)_i|."""
-    moved = quake(P, g, scale(L, t), tol).g
-    lhs = lift(P, moved, L, tol)
-    rhs = horocycle_flow(lift(P, g, L, tol), t)
+    moved = quake(P, g, scale(L, t)).g
+    lhs = lift(P, moved, L)
+    rhs = horocycle_flow(lift(P, g, L), t)
     if lhs.chart != rhs.chart:
         raise AssertionError("lift landed in different charts")
     return max(abs(a - b) for a, b in zip(lhs.z, rhs.z))

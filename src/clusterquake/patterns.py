@@ -1,8 +1,8 @@
 """Labeled exchange graphs of finite-type mutation classes.
 
 enumerate_pattern performs a breadth-first closure of an initial seed
-under the n matrix mutations (and, by default, under the symmetrizer-
-preserving transpositions), deduplicating labeled seeds by the pair
+under the n matrix mutations and the symmetrizer-preserving
+transpositions, deduplicating labeled seeds by the pair
 (exchange matrix, C-matrix).  Each vertex carries its C-matrix, its
 dual C-matrix C^- and its G-matrix, each from an integer one-step
 recursion, plus its F-polynomials.  These are computed once per
@@ -47,7 +47,7 @@ from .errors import (
     PreconditionError,
 )
 from .fpoly import FPolynomial, f_matrix, mutate_F
-from .seeds import ExchangeMatrix, Permutation, seed_from_type
+from .seeds import ExchangeMatrix, seed_from_type
 
 DEFAULT_CAP = 50_000
 
@@ -108,7 +108,6 @@ class PatternVertex:
     Cdual: intmat.IntMatrix  # C^{-s}_{v0->v} = cone_matrix(v)^-1
     G: intmat.IntMatrix
     Fs: tuple
-    Fmat: intmat.IntMatrix
     path: tuple
 
 
@@ -130,14 +129,13 @@ class BasedMatrices(NamedTuple):
 class ExchangePattern:
     """Immutable labeled exchange graph rooted at vertex 0."""
 
-    def __init__(self, vertices, mut_edges, perm_edges, type_tag,
-                 include_permutations, cap, clusters=None, bfs_s=None):
+    def __init__(self, vertices, mut_edges, perm_edges, type_tag, cap,
+                 clusters=None, bfs_s=None):
         self.vertices = tuple(vertices)
         self.mut_edges = dict(mut_edges)  # (vid, k) -> wid
         self.perm_edges = dict(perm_edges)  # (vid, images) -> wid
         self.base = 0
         self.type_tag = type_tag
-        self.include_permutations = include_permutations
         self.cap = cap
         self._seq_cache = {}
         self._based_cache = {}
@@ -215,7 +213,7 @@ class ExchangePattern:
 
         A mutation edge k becomes mutation(state, eps, k), with eps the
         entries of the exchange matrix of the chart the step starts from;
-        a relabel edge permutes the entries of state."""
+        a relabel edge permutes the entries of state by its images."""
         if len(state) != self.n:
             raise ValueError(f"point has {len(state)} coordinates, "
                              f"pattern has rank {self.n}")
@@ -224,7 +222,7 @@ class ExchangePattern:
                 state = mutation(state, self.vertices[at].eps.entries,
                                  edge[1])
             else:
-                state = _steps.apply_perm(state, Permutation(edge[1]))
+                state = _steps.apply_perm(state, edge[1])
         return state
 
     # -- per-vertex derived data ------------------------------------------
@@ -288,7 +286,6 @@ class ExchangePattern:
         if self._opposite is None:
             self._opposite = enumerate_pattern(
                 -self.eps0, cap=self.cap,
-                include_permutations=self.include_permutations,
                 type_tag=self.type_tag + "-opposite" if self.type_tag else "opposite")
         return self._opposite
 
@@ -454,7 +451,6 @@ class _Cluster(NamedTuple):
     Cdual: intmat.IntMatrix
     G: intmat.IntMatrix
     Fs: tuple
-    Fmat: intmat.IntMatrix
     rows: dict  # c-vector -> row index
 
 
@@ -473,10 +469,9 @@ def _is_relabeling(cluster: _Cluster, tau, eps: ExchangeMatrix, C):
 
 
 def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
-                      include_permutations=True,
                       type_tag="custom") -> ExchangePattern:
-    """Breadth-first closure of the initial seed under mutations (and
-    admissible transpositions), deduplicated by (eps, C).
+    """Breadth-first closure of the initial seed under mutations and
+    admissible transpositions, deduplicated by (eps, C).
 
     A labeled seed is stored as (cluster, p): row i of each of its
     matrices is row p[i] of the cluster's canonical seed.  Mutation
@@ -507,14 +502,12 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     index = {}  # (cluster id, p) -> vid
     mut_edges = {}
     perm_edges = {}
-    transpositions = ([s.images for s in eps0.admissible_transpositions()]
-                      if include_permutations else [])
+    transpositions = [s.images for s in eps0.admissible_transpositions()]
     queue = deque()
 
     def pattern_so_far():
         return ExchangePattern(vertices, mut_edges, perm_edges, type_tag,
-                               include_permutations, cap,
-                               clusters=len(clusters),
+                               cap, clusters=len(clusters),
                                bfs_s=time.process_time() - start)
 
     def new_cluster(eps, C, Cdual, G, Fs):
@@ -524,7 +517,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
             raise InternalConsistencyError(
                 f"cluster {len(clusters)}: C * diag(d) * G^T != diag(d)")
         cluster_of[frozenset(C)] = len(clusters)
-        clusters.append(_Cluster(eps, C, Cdual, G, Fs, f_matrix(Fs),
+        clusters.append(_Cluster(eps, C, Cdual, G, Fs,
                                  {row: i for i, row in enumerate(C)}))
         return len(clusters) - 1
 
@@ -568,11 +561,10 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         cl = clusters[c]
         e = cl.eps.entries
         eps = ExchangeMatrix(tuple(tuple(e[a][b] for b in p) for a in p), d)
-        C, Cdual, G, Fs, Fmat = (tuple(m[a] for a in p) for m in (
-            cl.C, cl.Cdual, cl.G, cl.Fs, cl.Fmat))
+        C, Cdual, G, Fs = (tuple(m[a] for a in p)
+                           for m in (cl.C, cl.Cdual, cl.G, cl.Fs))
         vertices.append(PatternVertex(
-            id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, Fmat=Fmat,
-            path=path))
+            id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, path=path))
         labels.append((c, p))
         index[(c, p)] = vid
         queue.append(vid)
@@ -623,9 +615,6 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     return pattern_so_far()
 
 
-def pattern_from_type(label, cap=None, include_permutations=True,
-                      orientation="linear") -> ExchangePattern:
+def pattern_from_type(label, cap=None) -> ExchangePattern:
     """enumerate_pattern(seed_from_type(label)) with the label as tag."""
-    return enumerate_pattern(seed_from_type(label, orientation), cap=cap,
-                             include_permutations=include_permutations,
-                             type_tag=label)
+    return enumerate_pattern(seed_from_type(label), cap=cap, type_tag=label)

@@ -17,6 +17,10 @@ from . import _steps, intmat
 from .errors import CompletenessError, CoordinateError
 from .patterns import ExchangePattern
 
+# Absolute tolerance of every cone-membership and wall test: a coordinate
+# >= -TOL counts as non-negative, one with |c| <= TOL as on the wall.
+TOL = 1e-9
+
 
 def _finite(v):
     # ints and Fractions are always finite; math.isfinite would overflow
@@ -79,9 +83,8 @@ def scale(L: TropicalPoint, t) -> TropicalPoint:
     return TropicalPoint(L.chart, tuple(v * t for v in L.x))
 
 
-def locate_cone(L: TropicalPoint, P: ExchangePattern,
-                tol: float = 1e-9) -> LocatedCone:
-    """Smallest vertex id whose closed cone contains L (within tol).
+def locate_cone(L: TropicalPoint, P: ExchangePattern) -> LocatedCone:
+    """Smallest vertex id whose closed cone contains L (within TOL).
 
     Membership is tested in base-chart coordinates: L is in the cone of v
     iff C^s_{v->v0}^{-1} x^(v0)(L) is componentwise non-negative, and that
@@ -92,11 +95,11 @@ def locate_cone(L: TropicalPoint, P: ExchangePattern,
     x0 = tropical_transport(L, P, P.base).x
     for cone in P.fan():
         lam = intmat.matvec(P.cone_matrix_inv(cone.vertex_id), x0)
-        if all(c >= -tol for c in lam):
+        if all(c >= -TOL for c in lam):
             return LocatedCone(cone.vertex_id,
-                               tuple(abs(c) <= tol for c in lam))
+                               tuple(abs(c) <= TOL for c in lam))
     raise CompletenessError(
-        f"no cone of pattern {P.type_tag!r} contains {x0} (tol={tol})")
+        f"no cone of pattern {P.type_tag!r} contains {x0} (tol={TOL})")
 
 
 def _pow(base, e):

@@ -15,6 +15,7 @@ from clusterquake import (
     quake_log,
     seed_from_type,
 )
+from clusterquake import points
 from clusterquake.points import TropicalPoint
 
 ORACLE_TYPES = ["A2", "B2", "G2", "A3", "C3", "D4"]
@@ -33,7 +34,14 @@ def test_fit_transform_inverse_round_trip():
 
 def test_predict_matches_locate_cone():
     est = EarthquakeTransformer("B2").fit()
-    X = np.array([[1.0, 1.0], [-1.0, -1.0], [4.0, -0.5]])
+    # the cone generators span the walls; push them off by half and by
+    # twice the cone tolerance, each coordinate either way
+    near_walls = [[c + (delta if i == j else 0.0) for j, c in enumerate(g)]
+                  for cone in est.pattern_.fan() for g in cone.generators
+                  for i in range(2)
+                  for delta in (points.TOL / 2, -points.TOL / 2,
+                                2 * points.TOL, -2 * points.TOL)]
+    X = np.array([[1.0, 1.0], [-1.0, -1.0], [4.0, -0.5]] + near_walls)
     cones = est.predict(X)
     for row, cone in zip(X, cones):
         assert cone == locate_cone(TropicalPoint(0, tuple(row)),
@@ -56,11 +64,11 @@ def test_explicit_seed_and_g0():
 
 
 def test_params_protocol():
-    est = EarthquakeTransformer("A2", tol=1e-8)
+    est = EarthquakeTransformer("A2", cap=1000)
     params = est.get_params()
-    assert params["type_or_matrix"] == "A2" and params["tol"] == 1e-8
-    est.set_params(type_or_matrix="B2", tol=1e-7)
-    assert est.type_or_matrix == "B2" and est.tol == 1e-7
+    assert params["type_or_matrix"] == "A2" and params["cap"] == 1000
+    est.set_params(type_or_matrix="B2", cap=2000)
+    assert est.type_or_matrix == "B2" and est.cap == 2000
     with pytest.raises(ValueError):
         est.set_params(bogus=1)
 
@@ -128,11 +136,11 @@ def test_predict_and_transform_agree_with_scalar_path(block):
         assert_close(back, row, row)
     for row, cone, image in zip(X, cones, Y):
         L = TropicalPoint(P.base, tuple(row))
-        assert cone == locate_cone(L, P, est.tol).vertex
+        assert cone == locate_cone(L, P).vertex
         try:
-            want = [math.log(x) for x in quake(P, g0, L, est.tol).g.X]
+            want = [math.log(x) for x in quake(P, g0, L).g.X]
         except FloatRangeError:
-            want, _ = quake_log(P, [math.log(x) for x in g0.X], L, est.tol)
+            want, _ = quake_log(P, [math.log(x) for x in g0.X], L)
         assert_close(image, want, row)
 
 
@@ -160,7 +168,7 @@ def test_inverse_transform_agrees_with_inverse_quake(block):
     back = est.inverse_transform(Y)
     for row, image, got in zip(X, Y, back):
         g = PositivePoint(P.base, tuple(math.exp(c) for c in image))
-        assert_close(got, inverse_quake(P, g0, g, est.tol).x, row)
+        assert_close(got, inverse_quake(P, g0, g).x, row)
         assert_close(got, row, row)
 
 

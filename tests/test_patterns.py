@@ -18,7 +18,7 @@ from clusterquake import (
 )
 from clusterquake import _steps, intmat, patterns
 from clusterquake.cli import main
-from clusterquake.fpoly import FPolynomial, f_matrix
+from clusterquake.fpoly import FPolynomial
 from clusterquake.patterns import (
     ExchangePattern,
     PatternVertex,
@@ -70,7 +70,7 @@ def conjugate_by_diag(d, m):
     return tuple(out)
 
 
-def labeled_bfs_oracle(eps0, include_permutations=True, type_tag="custom"):
+def labeled_bfs_oracle(eps0, type_tag="custom"):
     """The labeled-seed BFS as it was before the per-cluster memo: every
     labeled seed is mutated and relabeled with the exact recursions
     (ExchangeMatrix.relabel and _steps.apply_perm on relabel edges) and
@@ -78,15 +78,13 @@ def labeled_bfs_oracle(eps0, include_permutations=True, type_tag="custom"):
     on finite types."""
     n = eps0.n
     vertices, index, mut_edges, perm_edges = [], {}, {}, {}
-    transpositions = (eps0.admissible_transpositions()
-                      if include_permutations else [])
+    transpositions = eps0.admissible_transpositions()
     queue = deque()
 
     def add(eps, C, Cdual, G, Fs, path):
         vid = len(vertices)
         vertices.append(PatternVertex(
-            id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, Fmat=f_matrix(Fs),
-            path=path))
+            id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, path=path))
         index[(eps.entries, C)] = vid
         queue.append(vid)
         return vid
@@ -115,18 +113,17 @@ def labeled_bfs_oracle(eps0, include_permutations=True, type_tag="custom"):
             if (vid, sigma.images) in perm_edges:
                 continue
             new_eps = eps.relabel(sigma)
-            new_c = _steps.apply_perm(C, sigma)
+            new_c = _steps.apply_perm(C, sigma.images)
             wid = index.get((new_eps.entries, new_c))
             if wid is None:
                 wid = add(new_eps, new_c,
-                          _steps.apply_perm(cur.Cdual, sigma),
-                          _steps.apply_perm(cur.G, sigma),
-                          _steps.apply_perm(cur.Fs, sigma),
+                          _steps.apply_perm(cur.Cdual, sigma.images),
+                          _steps.apply_perm(cur.G, sigma.images),
+                          _steps.apply_perm(cur.Fs, sigma.images),
                           cur.path + (("perm", sigma.images),))
             perm_edges[(vid, sigma.images)] = wid
             perm_edges[(wid, sigma.images)] = vid
-    return ExchangePattern(vertices, mut_edges, perm_edges, type_tag,
-                           include_permutations, None)
+    return ExchangePattern(vertices, mut_edges, perm_edges, type_tag, None)
 
 
 def a2():
@@ -206,18 +203,9 @@ def test_fan_members_partition_vertices():
 
 
 def test_permutation_edges_reach_disconnected_relabelings():
-    # the two mutation components of A1xA1 are only joined by relabeling
-    with_perms = pattern_from_type("A1xA1")
-    without = enumerate_pattern(seed_from_type("A1xA1"),
-                                include_permutations=False)
-    assert len(with_perms) == 8
-    assert len(without) == 4
-
-
-def test_no_perm_enumeration_of_a2_still_closes():
-    P = enumerate_pattern(seed_from_type("A2"), include_permutations=False)
-    assert len(P) == 10
-    assert not P.perm_edges
+    # the two mutation components of A1xA1 (4 vertices each) are only
+    # joined by relabeling
+    assert len(pattern_from_type("A1xA1")) == 8
 
 
 def test_c_recursion_two_forms_agree():
@@ -320,12 +308,10 @@ def test_not_finite_type_raises_at_once(name):
 
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)
-@pytest.mark.parametrize("include_permutations", [True, False])
-def test_carried_matrices_match_fraction_oracle(label, include_permutations):
+def test_carried_matrices_match_fraction_oracle(label):
     # G and Cdual come from integer one-step recursions; the oracles are the
     # Fraction inverse of C and of the route-replayed cone matrix
-    P = enumerate_pattern(seed_from_type(label),
-                          include_permutations=include_permutations)
+    P = pattern_from_type(label)
     d = P.d
     for v in P.vertices:
         assert v.G == conjugate_by_diag(
@@ -389,12 +375,10 @@ def test_unimodular_cone_matrices():
 
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)
-@pytest.mark.parametrize("include_permutations", [True, False])
-def test_cluster_memo_matches_labeled_bfs_oracle(label, include_permutations):
+def test_cluster_memo_matches_labeled_bfs_oracle(label):
     eps0 = seed_from_type(label)
-    P = enumerate_pattern(eps0, include_permutations=include_permutations,
-                          type_tag=label)
-    oracle = labeled_bfs_oracle(eps0, include_permutations, label)
+    P = enumerate_pattern(eps0, type_tag=label)
+    oracle = labeled_bfs_oracle(eps0, label)
     assert P.to_json_obj() == oracle.to_json_obj()
     assert P.vertices == oracle.vertices
     assert P.mut_edges == oracle.mut_edges

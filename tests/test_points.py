@@ -16,6 +16,7 @@ from clusterquake import (
     separation_eval,
     tropical_transport,
 )
+from clusterquake.seeds import Permutation
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,27 @@ def test_transport_round_trip_exact(A2, B3):
             Lv = tropical_transport(L, P, v.id)
             assert positive_transport(gv, P, 0).X == g.X
             assert tropical_transport(Lv, P, 0).x == L.x
+    # a relabel edge sigma moves coordinate sigma^-1(i) of the chart it
+    # leaves to coordinate i; checked on every D4 chart reached by one
+    D4 = cq.pattern_from_type("D4")
+    g = PositivePoint(0, (Fraction(1, 2), Fraction(2), Fraction(3),
+                          Fraction(5, 7)))
+    L = TropicalPoint(0, (Fraction(3, 2), Fraction(-1), Fraction(2),
+                          Fraction(-5, 3)))
+    relabeled = 0
+    for v in D4.vertices:
+        if not v.path or v.path[-1][0] != "perm":
+            continue
+        relabeled += 1
+        inv = Permutation(v.path[-1][1]).inverse()
+        prev = D4.vertex_sequence(v.id)[-2]
+        for before, after in (
+                (positive_transport(g, D4, prev).X,
+                 positive_transport(g, D4, v.id).X),
+                (tropical_transport(L, D4, prev).x,
+                 tropical_transport(L, D4, v.id).x)):
+            assert after == tuple(before[inv(i)] for i in range(4)), v.id
+    assert relabeled == 999
 
 
 @settings(max_examples=50)
@@ -134,7 +156,7 @@ def test_locate_incomplete_fan_fails():
     # a single-vertex "pattern" cannot cover the plane; simulate by
     # restricting the budgetless enumeration to the base cone only
     P = cq.pattern_from_type("A2")
-    sub = type(P)(P.vertices[:1], {}, {}, "stub", True, 10)
+    sub = type(P)(P.vertices[:1], {}, {}, "stub", 10)
     with pytest.raises(CompletenessError):
         locate_cone(TropicalPoint(0, (-1.0, -1.0)), sub)
 
