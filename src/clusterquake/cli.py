@@ -28,13 +28,12 @@ import random
 import sys
 from fractions import Fraction
 
+from . import checks
 from . import earthquake as eq
-from . import intmat
 from .errors import ClusterQuakeError, PreconditionError
-from .horocycle import CentralCharge, conjugacy_residual, glue, \
-    horocycle_flow, lift
+from .horocycle import conjugacy_residual, horocycle_flow, lift
 from .patterns import enumerate_pattern
-from .points import TOL, PositivePoint, TropicalPoint, locate_cone
+from .points import PositivePoint, TropicalPoint, locate_cone
 from .seeds import ExchangeMatrix, seed_from_type
 
 
@@ -110,7 +109,7 @@ def _floats(values):
     return [float(v) for v in values]
 
 
-# -- plain subcommands -------------------------------------------------------
+# -- subcommands -------------------------------------------------------------
 
 
 def cmd_cartan(args):
@@ -177,38 +176,12 @@ def cmd_dquake(args):
     return 0
 
 
-def _limit_L_rows(pattern, g0, t):
-    """One row per cone and ray: limit_L's estimate, target and error."""
-    rows = []
-    for cone in pattern.fan():
-        for k in range(pattern.n):
-            estimate, target = eq.limit_L(pattern, g0, cone.vertex_id, k, t)
-            err = max(abs(a - b) for a, b in zip(estimate, target))
-            rows.append({"v": cone.vertex_id, "k": k,
-                         "estimate": list(estimate),
-                         "target": list(target), "err": err})
-    return rows
-
-
-def _limit_g_rows(pattern, M):
-    """One row per vertex: limit_g's matrix and target at log-size M."""
-    g = PositivePoint(pattern.base, (math.exp(M),) * pattern.n)
-    rows = []
-    for v in pattern.vertices:
-        u_matrix, target = eq.limit_g(pattern, g, v.id)
-        err = max(abs(a - b) for ra, rb in zip(u_matrix, target)
-                  for a, b in zip(ra, rb))
-        rows.append({"v": v.id, "u_matrix": [list(r) for r in u_matrix],
-                     "target": [list(r) for r in target], "err": err})
-    return rows
-
-
 def cmd_limits(args):
     pattern = _pattern(args)
     if args.mode == "L":
-        rows = _limit_L_rows(pattern, _g0(args, pattern), args.t)
+        rows = checks.limit_L_rows(pattern, _g0(args, pattern), args.t)
     else:
-        rows = _limit_g_rows(pattern, args.M)
+        rows = checks.limit_g_rows(pattern, args.M)
     _emit_json({"mode": args.mode, "rows": rows,
                 "max_err": max(r["err"] for r in rows)}, args)
     return 0
@@ -264,182 +237,22 @@ def cmd_plot_grid(args):
     return 0
 
 
-# -- verification suites ------------------------------------------------------
-
-
-def _suite_matrices(pattern, rng, report):
-    worst = 0
-    for v in pattern.vertices:
-        dual = intmat.inverse_unimodular(v.Cdual)
-        ok_dual = dual == pattern.cone_matrix(v.id)
-        ok_fugy, residual = pattern.fuGy_check(v.id)
-        worst = max(worst, max(abs(x) for row in residual for x in row))
-        for k in range(pattern.n):
-            pattern.tropical_sign(v.id, k)  # raises if not sign-coherent
-        if not (ok_dual and ok_fugy):
-            report.fail("matrices", f"vertex {v.id}: duality={ok_dual} "
-                                    f"fugy={ok_fugy}")
-            return
-    report.ok("matrices", f"vertices={len(pattern)} duality+fugy+signs "
-                          f"exact (max residual {worst})")
-
-
-def _suite_fan(pattern, rng, report, samples=10_000):
-    cones = pattern.fan()
-    interior_overlaps = 0
-    for _ in range(samples):
-        x = tuple(rng.uniform(-10, 10) for _ in range(pattern.n))
-        locate_cone(TropicalPoint(pattern.base, x), pattern)  # must not raise
-        strict = 0
-        for cone in cones:
-            lam = intmat.matvec(pattern.cone_matrix_inv(cone.vertex_id), x)
-            if all(c > TOL for c in lam):
-                strict += 1
-        if strict > 1:
-            interior_overlaps += 1
-    if interior_overlaps:
-        report.fail("fan", f"{interior_overlaps} samples landed in two "
-                           "open cones")
-    else:
-        report.ok("fan", f"cones={len(cones)} complete+disjoint on "
-                         f"{samples} samples")
-
-
-def _suite_earthquake(pattern, rng, report, samples=1000, tol=1e-9):
-    worst = 0.0
-    for _ in range(samples):
-        g0 = PositivePoint(pattern.base,
-                           tuple(math.exp(rng.uniform(-2, 2))
-                                 for _ in range(pattern.n)))
-        L = TropicalPoint(pattern.base,
-                          tuple(rng.uniform(-8, 8) for _ in range(pattern.n)))
-        g = eq.quake(pattern, g0, L).g
-        back = eq.inverse_quake(pattern, g0, g)
-        worst = max(worst, max(abs(a - float(b))
-                               for a, b in zip(back.x, L.x)))
-    if worst <= tol:
-        report.ok("earthquake", f"round-trip on {samples} samples, "
-                                f"max residual {worst:.3e}")
-    else:
-        report.fail("earthquake", f"round-trip residual {worst:.3e} > {tol}")
-
-
-def _suite_derivatives(pattern, rng, report, samples=200, tol=1e-6):
-    worst = 0.0
-    for _ in range(samples):
-        g = PositivePoint(pattern.base,
-                          tuple(math.exp(rng.uniform(-1, 1))
-                                for _ in range(pattern.n)))
-        L = TropicalPoint(pattern.base,
-                          tuple(rng.uniform(-5, 5) for _ in range(pattern.n)))
-        analytic = eq.dquake(pattern, g, L).delta
-        fd = eq.dquake(pattern, g, L, method="finite_difference").delta
-        worst = max(worst, max(abs(a - b) for a, b in zip(analytic, fd)))
-    if worst <= tol:
-        report.ok("derivatives", f"analytic vs finite-difference on "
-                                 f"{samples} samples, max gap {worst:.3e}")
-    else:
-        report.fail("derivatives", f"method gap {worst:.3e} > {tol}")
-
-
-def _suite_limits(pattern, rng, report):
-    g0 = PositivePoint(pattern.base, (1,) * pattern.n)
-    errs_by_t = {t: max(r["err"] for r in _limit_L_rows(pattern, g0, t))
-                 for t in (10.0, 100.0, 1000.0)}
-    monotone = errs_by_t[10.0] >= errs_by_t[100.0] >= errs_by_t[1000.0]
-    if errs_by_t[1000.0] <= 1e-2 and monotone:
-        report.ok("limits.L", f"errs {errs_by_t[10.0]:.2e} >= "
-                              f"{errs_by_t[100.0]:.2e} >= "
-                              f"{errs_by_t[1000.0]:.2e} <= 1e-2")
-    else:
-        report.fail("limits.L", f"errs by t: {errs_by_t}")
-
-    err30, err10 = (max(r["err"] for r in _limit_g_rows(pattern, M))
-                    for M in (30.0, 10.0))
-    if err30 <= 1e-3 and err30 < err10:
-        report.ok("limits.g", f"err(M=30)={err30:.2e} < err(M=10)="
-                              f"{err10:.2e}")
-    else:
-        report.fail("limits.g", f"err(M=30)={err30:.2e}, err(M=10)="
-                                f"{err10:.2e}")
-
-
-def _suite_horocycle(pattern, rng, report, samples=300,
-                     tol=1e-10, glue_tol=1e-12):
-    from .errors import BoundaryError
-    worst = 0.0
-    done = 0
-    while done < samples:
-        g = PositivePoint(pattern.base,
-                          tuple(math.exp(rng.uniform(-1, 1))
-                                for _ in range(pattern.n)))
-        L = TropicalPoint(pattern.base,
-                          tuple(rng.uniform(-5, 5) for _ in range(pattern.n)))
-        t = rng.uniform(0.1, 3.0)
-        try:
-            worst = max(worst, conjugacy_residual(pattern, g, L, t))
-        except BoundaryError:
-            continue
-        done += 1
-    glue_worst = 0.0
-    for _ in range(samples):
-        k = rng.randrange(pattern.n)
-        z = [complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
-             for _ in range(pattern.n)]
-        z[k] = complex(rng.choice([-1, 1]) * rng.uniform(0.1, 2), 0.0)
-        t = rng.uniform(0.1, 3.0)
-        Z = CentralCharge(pattern.base, tuple(z))
-        lhs = horocycle_flow(glue(Z, pattern, k), t)
-        rhs = glue(horocycle_flow(Z, t), pattern, k)
-        back = glue(glue(Z, pattern, k), pattern, k)
-        glue_worst = max(glue_worst,
-                         max(abs(a - b) for a, b in zip(lhs.z, rhs.z)),
-                         max(abs(a - b) for a, b in zip(back.z, Z.z)))
-    ok = worst <= tol and glue_worst <= glue_tol
-    line = (f"conjugacy {worst:.3e} on {samples} samples, "
-            f"glue/flow {glue_worst:.3e}")
-    report.ok("horocycle", line) if ok else report.fail("horocycle", line)
-
-
-class _Report:
-    def __init__(self):
-        self.lines = []
-        self.failed = False
-
-    def ok(self, name, detail):
-        self.lines.append(f"PASS {name}: {detail}")
-
-    def fail(self, name, detail):
-        self.failed = True
-        self.lines.append(f"FAIL {name}: {detail}")
-
-    def text(self):
-        verdict = "FAIL" if self.failed else "PASS"
-        return "\n".join(self.lines + [f"verify: {verdict}"]) + "\n"
-
-
-_SUITES = {
-    "matrices": _suite_matrices,
-    "fan": _suite_fan,
-    "earthquake": _suite_earthquake,
-    "derivatives": _suite_derivatives,
-    "limits": _suite_limits,
-    "horocycle": _suite_horocycle,
-}
-
-
 def cmd_verify(args):
-    if args.suite != "all" and args.suite not in _SUITES:
+    if args.suite != "all" and args.suite not in checks.SUITES:
         raise ClusterQuakeError(
             f"unknown suite {args.suite!r}; pick one of "
-            f"{', '.join([*_SUITES, 'all'])}")
+            f"{', '.join([*checks.SUITES, 'all'])}")
     pattern = _pattern(args)
-    report = _Report()
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    names = list(checks.SUITES) if args.suite == "all" else [args.suite]
+    results = []
     for name in names:
-        _SUITES[name](pattern, random.Random(args.seed), report)
-    _emit(report.text(), args)
-    return 1 if report.failed else 0
+        results += checks.SUITES[name](pattern, random.Random(args.seed))
+    failed = not all(check.ok for check in results)
+    lines = [f"{'PASS' if check.ok else 'FAIL'} {check.name}: {check.detail}"
+             for check in results]
+    lines.append(f"verify: {'FAIL' if failed else 'PASS'}")
+    _emit("\n".join(lines) + "\n", args)
+    return 1 if failed else 0
 
 
 # -- argument wiring ----------------------------------------------------------
@@ -527,8 +340,7 @@ def build_parser():
     sub = subs.add_parser("verify", help="run invariant suites")
     _add_seed_flags(sub)
     sub.add_argument("--suite", default="all",
-                     help="matrices|fan|earthquake|derivatives|limits|"
-                          "horocycle|all")
+                     help="|".join([*checks.SUITES, "all"]))
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=cmd_verify)
     return parser

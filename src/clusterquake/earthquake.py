@@ -5,7 +5,7 @@ tropical coordinates of L, where v is a cone of the fan containing L;
 the gluing lemma makes the choice of v immaterial on shared faces.  The
 other operations are the inverse map, the one-sided derivative at t=0+,
 the shear (u-) coordinates, the two asymptotic limits, and the cluster
-reduction onto a face of the base cone.
+reduction onto a face of a cone.
 """
 
 from __future__ import annotations
@@ -209,13 +209,14 @@ def _restrict(matrix, J):
 
 def cluster_reduce(P: ExchangePattern, v0: int, J, g0: PositivePoint,
                    L: TropicalPoint) -> float:
-    """Residual of the cluster-reduction square for the face of the base
-    cone cut out by the directions J.
+    """Residual of the cluster-reduction square for the face of the cone
+    of chart v0 cut out by the directions J.
 
-    Both ways around the square are evaluated: project the earthquake
-    image of (g0, L) to the J-coordinates, and apply the rank-|J|
-    earthquake of the restricted seed to the projected data.  L must lie
-    in the star of the face (a cone reachable by J-mutations only).
+    Both ways around the square are evaluated in chart v0: project the
+    earthquake image of (g0, L) to the J-coordinates, and apply the
+    rank-|J| earthquake of the restricted seed to the projected data.  L
+    must lie in the star of the face (a cone reachable from v0 by
+    J-mutations only).
     """
     J = sorted(set(J))
     if not J:
@@ -223,41 +224,32 @@ def cluster_reduce(P: ExchangePattern, v0: int, J, g0: PositivePoint,
     if any(j < 0 or j >= P.n for j in J):
         raise PreconditionError("J contains out-of-range directions")
 
-    if v0 == P.base:
-        P0 = P
-        g0_0 = positive_transport(g0, P, P.base)
-        L0 = tropical_transport(L, P, P.base)
-    else:
-        P0 = enumerate_pattern(P.vertex(v0).eps, cap=P.cap,
-                               type_tag=f"{P.type_tag}@v{v0}")
-        g0_0 = PositivePoint(0, positive_transport(g0, P, v0).X)
-        L0 = TropicalPoint(0, tropical_transport(L, P, v0).x)
+    # P's exchange graph seen from v0 is the pattern re-based at v0, so
+    # both points move to chart v0 and the star grows from there
+    g0_v = positive_transport(g0, P, v0)
+    L_v = tropical_transport(L, P, v0)
 
     # the star of the face: cones of vertices reachable by J-mutations
-    star, queue = {P0.base}, [P0.base]
+    star, queue = {v0}, [v0]
     while queue:
         w = queue.pop()
         for k in J:
-            nxt = P0.mut_edges[(w, k)]
+            nxt = P.mut_edges[(w, k)]
             if nxt not in star:
                 star.add(nxt)
                 queue.append(nxt)
-    in_star = False
-    for w in sorted(star):
-        xw = tropical_transport(L0, P0, w).x
-        if all(c >= -TOL for c in xw):
-            in_star = True
-            break
-    if not in_star:
+    if not any(all(c >= -TOL for c in tropical_transport(L_v, P, w).x)
+               for w in sorted(star)):
         raise PreconditionError(
             "L lies outside the star of the face fixed by J")
 
-    image = quake(P0, g0_0, L0).g.X
-    reduced_seed = ExchangeMatrix.make(_restrict(P0.eps0.entries, J))
+    image = quake(P, g0_v, L_v).g.X
+    reduced_seed = ExchangeMatrix.make(
+        _restrict(P.vertex(v0).eps.entries, J))
     PJ = enumerate_pattern(reduced_seed, cap=P.cap,
                            type_tag=f"{P.type_tag}|J")
-    gJ = PositivePoint(0, tuple(g0_0.X[j] for j in J))
-    LJ = TropicalPoint(0, tuple(L0.x[j] for j in J))
+    gJ = PositivePoint(0, tuple(g0_v.X[j] for j in J))
+    LJ = TropicalPoint(0, tuple(L_v.x[j] for j in J))
     image_j = quake(PJ, gJ, LJ).g.X
     return max(abs(float(image[j]) - float(b))
                for j, b in zip(J, image_j))

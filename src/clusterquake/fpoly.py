@@ -183,10 +183,14 @@ class FPolynomial:
                 bits.append(str(coef))
         return " + ".join(bits)
 
+    def to_records(self):
+        """The terms as [{"exp": [...], "coef": c}, ...], graded-lex order;
+        the format of to_json and of the F entries of enumerate's JSON."""
+        return [{"exp": list(exp), "coef": self.terms[exp]}
+                for exp in sorted(self.terms, key=_grlex_key)]
+
     def to_json(self):
-        records = [{"exp": list(exp), "coef": self.terms[exp]}
-                   for exp in sorted(self.terms, key=_grlex_key)]
-        return json.dumps(records)
+        return json.dumps(self.to_records())
 
     @classmethod
     def from_json(cls, data, nvars=None):

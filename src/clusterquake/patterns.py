@@ -384,10 +384,7 @@ class ExchangePattern:
                 "eps": [list(r) for r in v.eps.entries],
                 "C": [list(r) for r in v.C],
                 "G": [list(r) for r in v.G],
-                "F": [sorted(
-                    ({"exp": list(e), "coef": c} for e, c in f.terms.items()),
-                    key=lambda t: (sum(t["exp"]), t["exp"]))
-                    for f in v.Fs],
+                "F": [f.to_records() for f in v.Fs],
             })
         edges = []
         seen = set()

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import clusterquake
+from clusterquake import TropicalPoint, earthquake
 from clusterquake.cli import main
 
 SRC = os.path.dirname(os.path.dirname(clusterquake.__file__))
@@ -129,7 +131,40 @@ def test_verify_all(capsys):
     lines = out.strip().split("\n")
     assert lines[-1] == "verify: PASS"
     # six suites; the limits suite reports its two regimes separately
-    assert sum(1 for l in lines if l.startswith("PASS ")) == 7
+    e2, e3 = r"\d\.\d{2}e[+-]\d\d", r"\d\.\d{3}e[+-]\d\d"
+    formats = [
+        r"matrices: vertices=10 duality\+fugy\+signs exact "
+        r"\(max residual 0\)",
+        r"fan: cones=5 complete\+disjoint on 10000 samples",
+        rf"earthquake: round-trip on 1000 samples, max residual {e3}",
+        rf"derivatives: analytic vs finite-difference on 200 samples, "
+        rf"max gap {e3}",
+        rf"limits\.L: errs {e2} >= {e2} >= {e2} <= 1e-2",
+        rf"limits\.g: err\(M=30\)={e2} < err\(M=10\)={e2}",
+        rf"horocycle: conjugacy {e3} on 300 samples, glue/flow {e3}",
+    ]
+    assert len(lines) == len(formats) + 1
+    for line, fmt in zip(lines, formats):
+        assert re.fullmatch("PASS " + fmt, line), line
+
+
+def test_verify_failure_path(capsys, monkeypatch):
+    inverse_quake = earthquake.inverse_quake
+
+    def shifted(P, g0, g):
+        L = inverse_quake(P, g0, g)
+        return TropicalPoint(L.chart, tuple(x + 1e-6 for x in L.x))
+
+    monkeypatch.setattr(earthquake, "inverse_quake", shifted)
+    code, out, err = run(capsys, "verify", "--type", "A2", "--suite",
+                         "earthquake")
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert len(lines) == 2
+    # the FAIL line carries the detail a PASS line would
+    assert re.fullmatch(r"FAIL earthquake: round-trip on 1000 samples, "
+                        r"max residual 1\.\d{3}e-06", lines[0]), lines[0]
+    assert lines[-1] == "verify: FAIL"
 
 
 def test_verify_single_suite_deterministic(capsys):

@@ -238,12 +238,30 @@ def test_cluster_reduce_zero_residual():
     assert cluster_reduce(P, 0, [0, 1], g0, L2) <= 1e-12
 
 
-def test_cluster_reduce_away_from_base():
-    P = pattern("A3")
-    v0 = P.mut_edges[(0, 2)]
-    g0 = PositivePoint(v0, (1.5, 0.7, 2.0))
-    L = TropicalPoint(v0, (2.0, -1.0, 3.0))
-    assert cluster_reduce(P, v0, [0, 1], g0, L) <= 1e-12
+def test_cluster_reduce_away_from_base(monkeypatch):
+    # the reduction reads P's own exchange graph from v0: the only
+    # enumeration is the rank-|J| one of the restricted seed
+    ranks = []
+
+    def counted(eps, *args, **kwargs):
+        ranks.append(eps.n)
+        return cq.enumerate_pattern(eps, *args, **kwargs)
+
+    monkeypatch.setattr(cq.earthquake, "enumerate_pattern", counted)
+    for label, k, J, g0, L in [
+        ("A3", 2, [0, 1], (1.5, 0.7, 2.0), (2.0, -1.0, 3.0)),
+        ("B3", 1, [0, 1], (1.5, 0.7, 2.0), (-2.0, 1.0, 4.0)),
+        ("B3", 0, [1, 2], (0.8, 1.3, 2.5), (3.0, -1.5, 0.5)),
+        ("D4", 3, [1, 2, 3], (1.2, 0.6, 1.9, 1.1), (2.0, -1.0, 1.5, -2.5)),
+        ("D4", 1, [0, 2], (1.5, 0.7, 2.0, 0.9), (-1.0, 2.0, -0.5, 3.0)),
+    ]:
+        P = pattern(label)
+        v0 = P.mut_edges[(0, k)]
+        ranks.clear()
+        residual = cluster_reduce(P, v0, J, PositivePoint(v0, g0),
+                                  TropicalPoint(v0, L))
+        assert residual <= 1e-12, (label, residual)
+        assert ranks == [len(J)], (label, ranks)
 
 
 def test_cluster_reduce_preconditions():
