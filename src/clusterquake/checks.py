@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import earthquake as eq
 from . import intmat
-from .errors import BoundaryError
+from .errors import BoundaryError, FloatRangeError
 from .horocycle import CentralCharge, conjugacy_residual, glue, \
     horocycle_flow
 from .points import TOL, PositivePoint, TropicalPoint, locate_cone
@@ -50,7 +50,11 @@ def limit_L_rows(pattern, g0, t):
 
 def limit_g_rows(pattern, M):
     """One row per vertex: limit_g's matrix and target at log-size M."""
-    g = PositivePoint(pattern.base, (math.exp(M),) * pattern.n)
+    try:
+        g = PositivePoint(pattern.base, (math.exp(M),) * pattern.n)
+    except OverflowError:
+        raise FloatRangeError(f"exp(M) leaves the float range at M={M}") \
+            from None
     rows = []
     for v in pattern.vertices:
         u_matrix, target = eq.limit_g(pattern, g, v.id)
@@ -94,12 +98,13 @@ def fan(pattern, rng):
     interior_overlaps = 0
     for _ in range(FAN_SAMPLES):
         L = _tropical(pattern, rng, 10)
-        locate_cone(L, pattern)  # must not raise
-        strict = 0
+        closed = strict = 0
         for cone in cones:
             lam = intmat.matvec(pattern.cone_matrix_inv(cone.vertex_id), L.x)
-            if all(c > TOL for c in lam):
-                strict += 1
+            closed += min(lam) >= -TOL
+            strict += min(lam) > TOL
+        if not closed:
+            locate_cone(L, pattern)  # raises CompletenessError
         if strict > 1:
             interior_overlaps += 1
     return [Check("fan", not interior_overlaps,

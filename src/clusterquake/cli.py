@@ -73,23 +73,23 @@ def _pattern(args):
     return enumerate_pattern(seed, type_tag=tag)
 
 
-def _g0(args, pattern):
-    coords = _nums(args.g0) if args.g0 else (1,) * pattern.n
-    if len(coords) != pattern.n:
-        raise ClusterQuakeError(
-            f"--g0 needs {pattern.n} coordinates, got {len(coords)}")
-    return PositivePoint(pattern.base, coords)
-
-
-def _L(args, pattern, flag="--L"):
-    raw = args.L
-    if raw is None:
-        raise ClusterQuakeError(f"{flag} is required for this subcommand")
+def _coords(raw, flag, pattern):
     coords = _nums(raw)
     if len(coords) != pattern.n:
-        raise ClusterQuakeError(
+        raise PreconditionError(
             f"{flag} needs {pattern.n} coordinates, got {len(coords)}")
-    return TropicalPoint(pattern.base, coords)
+    return coords
+
+
+def _g0(args, pattern):
+    return PositivePoint(pattern.base, _coords(args.g0, "--g0", pattern)
+                         if args.g0 else (1,) * pattern.n)
+
+
+def _L(args, pattern):
+    if args.L is None:
+        raise ClusterQuakeError("--L is required for this subcommand")
+    return TropicalPoint(pattern.base, _coords(args.L, "--L", pattern))
 
 
 def _emit(text, args):
@@ -156,7 +156,7 @@ def cmd_inverse(args):
     g0 = _g0(args, pattern)
     if not args.g:
         raise ClusterQuakeError("--g is required for `inverse`")
-    g = PositivePoint(pattern.base, _nums(args.g))
+    g = PositivePoint(pattern.base, _coords(args.g, "--g", pattern))
     L = eq.inverse_quake(pattern, g0, g)
     _emit_json({"L": _floats(L.x)}, args)
     return 0
@@ -208,10 +208,12 @@ def cmd_plot_grid(args):
         raise UnsupportedPlotError(
             f"plot-grid draws rank-2 fans only, got rank {pattern.n}")
     g0 = _g0(args, pattern)
+    if not all(map(math.isfinite, (*args.range, args.step))):
+        raise PreconditionError("--range and --step must be finite")
     lo, hi = (Fraction(str(args.range[0])), Fraction(str(args.range[1])))
     step = Fraction(str(args.step))
     if step <= 0:
-        raise ClusterQuakeError("--step must be positive")
+        raise PreconditionError("--step must be positive")
     count = int((hi - lo) / step)
     ticks = [lo + i * step for i in range(count + 1)]
     rows = []

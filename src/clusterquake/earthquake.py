@@ -25,6 +25,7 @@ from .points import (
     TOL,
     PositivePoint,
     TropicalPoint,
+    _floats,
     locate_cone,
     log_transport,
     positive_transport,
@@ -70,13 +71,12 @@ def quake(P: ExchangePattern, g0: PositivePoint,
     Raises FloatRangeError when a coordinate of the image (or of a chart
     on the way) leaves the float range; quake_log evaluates those.
     """
-    v = locate_cone(L, P).vertex
-    xv = tropical_transport(L, P, v).x
+    v, _, xv = locate_cone(L, P)
     try:
         g = quake_multiplier(P, g0, v, tuple(math.exp(float(c)) for c in xv))
     except (OverflowError, CoordinateError) as exc:
         raise FloatRangeError(
-            f"the earthquake image of {[float(c) for c in L.x]} leaves the "
+            f"the earthquake image of {list(_floats(L.x, 'L'))} leaves the "
             "float range; quake_log evaluates it in log space") from exc
     return EarthquakeResult(g, v)
 
@@ -87,8 +87,7 @@ def quake_log(P: ExchangePattern, log_g0, L: TropicalPoint):
     log_g0 are base-chart log-coordinates of the starting point; returns
     (log-coordinates of the image in the base chart, cone vertex).
     """
-    v = locate_cone(L, P).vertex
-    xv = tropical_transport(L, P, v).x
+    v, _, xv = locate_cone(L, P)
     log_gv = log_transport(log_g0, P, P.base, v)
     log_ev = tuple(float(a) + b for a, b in zip(xv, log_gv))
     return log_transport(log_ev, P, v, P.base), v
@@ -105,7 +104,12 @@ def inverse_quake(P: ExchangePattern, g0: PositivePoint,
         v = cone.vertex_id
         gv = positive_transport(g, P, v)
         g0v = positive_transport(g0, P, v)
-        x = tuple(math.log(float(a) / float(b)) for a, b in zip(gv.X, g0v.X))
+        try:
+            x = tuple(math.log(float(a) / float(b))
+                      for a, b in zip(gv.X, g0v.X))
+        except OverflowError:  # an int or Fraction beyond the float range
+            raise FloatRangeError("g or g0 is beyond the float range") \
+                from None
         if all(c >= -TOL for c in x):
             return tropical_transport(TropicalPoint(v, x), P, P.base)
     raise HomeomorphismError(
@@ -118,7 +122,7 @@ def u_coords(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
     """Shear coordinates log(X^(v0)(quake(g, L)) / X^(v0)(g))."""
     if v0 is None:
         v0 = P.base
-    log_g_base = log_transport(tuple(math.log(float(x)) for x in g.X),
+    log_g_base = log_transport(tuple(map(math.log, _floats(g.X, "g"))),
                                P, g.chart, P.base)
     log_e_base, _ = quake_log(P, log_g_base, L)
     log_e = log_transport(log_e_base, P, P.base, v0)
@@ -153,9 +157,9 @@ def dquake(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
     if method != "analytic":
         raise ValueError(f"unknown dquake method {method!r}")
 
-    v = locate_cone(L, P).vertex
-    delta = tuple(float(c) for c in tropical_transport(L, P, v).x)
-    log_at = log_transport(tuple(math.log(float(x)) for x in g.X),
+    v, _, xv = locate_cone(L, P)
+    delta = _floats(xv, "L")
+    log_at = log_transport(tuple(map(math.log, _floats(g.X, "g"))),
                            P, g.chart, v)
     pairs = P.walk(tuple(zip(delta, log_at)), v, g.chart, _tangent_mutation)
     return TangentVector(g, g.chart, tuple(dx for dx, _ in pairs))
@@ -170,9 +174,9 @@ def limit_L(P: ExchangePattern, g0: PositivePoint, v: int, k: int, t: float):
     as t grows.
     """
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise PreconditionError("t must be positive")
     ray = TropicalPoint(P.base, P.ray(v, k))
-    log_g0 = log_transport(tuple(math.log(float(x)) for x in g0.X),
+    log_g0 = log_transport(tuple(map(math.log, _floats(g0.X, "g0"))),
                            P, g0.chart, P.base)
     log_e, _ = quake_log(P, log_g0, scale(ray, t))
     estimate = tuple(c / t for c in log_e)

@@ -126,22 +126,6 @@ class FPolynomial:
             total += term
         return total
 
-    def eval_log(self, log_ys):
-        """log F(y) from log y, via a max-shifted log-sum-exp."""
-        import math
-
-        if not self.terms:
-            return float("-inf")
-        logs = []
-        for exp, coef in self.terms.items():
-            if coef <= 0:
-                raise InternalConsistencyError(
-                    "log evaluation needs positive coefficients")
-            logs.append(math.log(coef) + sum(
-                e * l for e, l in zip(exp, log_ys) if e))
-        m = max(logs)
-        return m + math.log(sum(math.exp(x - m) for x in logs))
-
     def max_degrees(self):
         """Componentwise maximal exponent over all terms (row of the F-matrix)."""
         degs = [0] * self.nvars
@@ -153,9 +137,6 @@ class FPolynomial:
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
-
-    def is_one(self):
-        return self.terms == {(0,) * self.nvars: 1}
 
     # -- plumbing ----------------------------------------------------------
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import BoundaryError, GluingDomainError
 from .patterns import ExchangePattern
-from .points import TOL, PositivePoint, TropicalPoint, locate_cone, \
-    positive_transport, scale, tropical_transport
+from .points import TOL, PositivePoint, TropicalPoint, _floats, \
+    locate_cone, positive_transport, scale
 from .earthquake import quake
 
 
@@ -80,18 +80,17 @@ def lift(P: ExchangePattern, g: PositivePoint,
             f"{located.vertex}; the lift needs an interior point")
     v = located.vertex
     gv = positive_transport(g, P, v)
-    xv = tropical_transport(L, P, v)
-    return CentralCharge(
-        v, tuple(complex(math.log(float(a)), float(b))
-                 for a, b in zip(gv.X, xv.x)))
+    return CentralCharge(v, tuple(
+        complex(math.log(a), b)
+        for a, b in zip(_floats(gv.X, "g"), _floats(located.x, "L"))))
 
 
 def conjugacy_residual(P: ExchangePattern, g: PositivePoint,
                        L: TropicalPoint, t: float) -> float:
-    """max_i |lift(quake(g, tL), L)_i - horocycle_flow(lift(g, L), t)_i|."""
-    moved = quake(P, g, scale(L, t)).g
-    lhs = lift(P, moved, L)
-    rhs = horocycle_flow(lift(P, g, L), t)
-    if lhs.chart != rhs.chart:
-        raise AssertionError("lift landed in different charts")
-    return max(abs(a - b) for a, b in zip(lhs.z, rhs.z))
+    """max_i |lift(quake(g, tL), L)_i - horocycle_flow(lift(g, L), t)_i|.
+
+    Both lifts share the chart and imaginary parts of Z = lift(g, L)."""
+    Z = lift(P, g, L)
+    moved = positive_transport(quake(P, g, scale(L, t)).g, P, Z.chart)
+    return max(abs(complex(math.log(float(a)), z.imag) - w)
+               for a, z, w in zip(moved.X, Z.z, horocycle_flow(Z, t).z))

@@ -386,21 +386,15 @@ class ExchangePattern:
                 "G": [list(r) for r in v.G],
                 "F": [f.to_records() for f in v.Fs],
             })
-        edges = []
-        seen = set()
-        for (vid, k), wid in sorted(self.mut_edges.items()):
-            if (wid, k, vid) in seen:
-                continue
-            seen.add((vid, k, wid))
-            edges.append({"src": vid, "dst": wid, "kind": "mutation", "k": k})
-        pseen = set()
-        for (vid, images), wid in sorted(self.perm_edges.items()):
-            key = (min(vid, wid), max(vid, wid), images)
-            if key in pseen:
-                continue
-            pseen.add(key)
-            edges.append({"src": vid, "dst": wid, "kind": "relabel",
-                          "sigma": list(images)})
+        # both edge maps hold every edge from both ends, and no edge is a
+        # loop: list each from its smaller end
+        edges = [{"src": vid, "dst": wid, "kind": "mutation", "k": k}
+                 for (vid, k), wid in sorted(self.mut_edges.items())
+                 if vid < wid]
+        edges += [{"src": vid, "dst": wid, "kind": "relabel",
+                   "sigma": list(images)}
+                  for (vid, images), wid in sorted(self.perm_edges.items())
+                  if vid < wid]
         return {"type": self.type_tag, "base": self.base, "d": list(self.d),
                 "vertices": verts, "edges": edges}
 

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _steps, intmat
-from .errors import CompletenessError, CoordinateError
+from .errors import CompletenessError, CoordinateError, FloatRangeError, \
+    PreconditionError
 from .patterns import ExchangePattern
 
 # Absolute tolerance of every cone-membership and wall test: a coordinate
@@ -26,6 +27,15 @@ def _finite(v):
     # ints and Fractions are always finite; math.isfinite would overflow
     # converting a huge one to float
     return not isinstance(v, float) or math.isfinite(v)
+
+
+def _floats(values, name):
+    """values as floats; an int or Fraction beyond the float range raises
+    FloatRangeError naming the point."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise FloatRangeError(f"{name} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,7 @@ class PositivePoint:
 class LocatedCone(NamedTuple):
     vertex: int
     boundary: tuple  # per-coordinate "on the boundary" flags
+    x: tuple  # the point's coordinates in the chart of vertex
 
 
 def tropical_transport(L: TropicalPoint, P: ExchangePattern,
@@ -79,12 +90,13 @@ def log_transport(logX, P: ExchangePattern, src: int, target: int):
 def scale(L: TropicalPoint, t) -> TropicalPoint:
     """The R_{>0}-action on tropical points (commutes with transport)."""
     if not t > 0:
-        raise ValueError("scaling factor must be positive")
+        raise PreconditionError("scaling factor must be positive")
     return TropicalPoint(L.chart, tuple(v * t for v in L.x))
 
 
 def locate_cone(L: TropicalPoint, P: ExchangePattern) -> LocatedCone:
-    """Smallest vertex id whose closed cone contains L (within TOL).
+    """Smallest vertex id whose closed cone contains L (within TOL), with
+    L's coordinates in that vertex's chart.
 
     Membership is tested in base-chart coordinates: L is in the cone of v
     iff C^s_{v->v0}^{-1} x^(v0)(L) is componentwise non-negative, and that
@@ -96,8 +108,9 @@ def locate_cone(L: TropicalPoint, P: ExchangePattern) -> LocatedCone:
     for cone in P.fan():
         lam = intmat.matvec(P.cone_matrix_inv(cone.vertex_id), x0)
         if all(c >= -TOL for c in lam):
-            return LocatedCone(cone.vertex_id,
-                               tuple(abs(c) <= TOL for c in lam))
+            v = cone.vertex_id
+            return LocatedCone(v, tuple(abs(c) <= TOL for c in lam),
+                               tropical_transport(L, P, v).x)
     raise CompletenessError(
         f"no cone of pattern {P.type_tag!r} contains {x0} (tol={TOL})")
 

@@ -237,6 +237,28 @@ def test_bad_coordinate_is_a_usage_error(capsys, L, why):
     assert code == 2 and err.startswith("error:") and why in err
 
 
+@pytest.mark.parametrize("argv", [
+    "inverse --type A2 --g0 1,1 --g 1,2,3",
+    "limits --type A2 --t -5",
+    "limits --type A2 --t 0",
+    "limits --type A2 --t nan",
+    "horocycle --type A2 --g0 1,1 --L 1,2 --t -1",
+    "horocycle --type A2 --g0 1,1 --L 1,2 --t nan",
+    "plot-grid --type A2 --step nan",
+    "plot-grid --type A2 --range 0 inf",
+    "limits --type A2 --mode g --M 1000",
+    "quake --type A2 --g0 1,1 --L=1e400,1",
+    "dquake --type A2 --g0 1,1 --L=1e400,1",
+    "inverse --type A2 --g0 1,1 --g 1e400,1",
+    "horocycle --type A2 --g0 1e400,1 --L 1,2",
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    # an exception main() does not turn into exit 2 fails the test
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and err.startswith("error:") and not out
+    assert "Traceback" not in err
+
+
 def test_enumerate_stats_go_to_stderr(capsys):
     _, plain, _ = run(capsys, "enumerate", "--type", "B3")
     code, out, err = run(capsys, "enumerate", "--type", "B3", "--stats")

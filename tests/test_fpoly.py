@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import math
 import pytest
 from hypothesis import given, strategies as st
 
@@ -66,26 +65,10 @@ def test_eval_exact():
         f.eval((Fraction(-1), 1))
 
 
-def test_eval_log_matches_eval():
-    f = poly(2, {(0, 0): 1, (1, 0): 1, (1, 1): 1})
-    for ys in [(0.5, 2.0), (3.0, 0.25)]:
-        direct = math.log(f.eval(ys))
-        logged = f.eval_log(tuple(math.log(y) for y in ys))
-        assert abs(direct - logged) < 1e-12
-
-
-def test_eval_log_huge_arguments():
-    # would overflow exp(); the log-sum-exp path must not
-    f = poly(2, {(0, 0): 1, (1, 0): 1, (1, 1): 1})
-    val = f.eval_log((2000.0, 1500.0))
-    assert abs(val - 3500.0) < 1e-9
-
-
 def test_max_degrees_and_constant_term():
     f = poly(2, {(0, 0): 1, (1, 0): 2, (1, 3): 1})
     assert f.max_degrees() == (1, 3)
     assert f.constant_term() == 1
-    assert FPolynomial.constant(2).is_one()
     assert f_matrix((f, FPolynomial.constant(2))) == ((1, 3), (0, 0))
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import clusterquake as cq
+from clusterquake import earthquake, horocycle, points
 from clusterquake import (
     BoundaryError,
     CentralCharge,
@@ -122,3 +123,20 @@ def test_conjugacy_residual_random():
             except BoundaryError:
                 continue
             done += 1
+
+
+def test_conjugacy_residual_locates_twice(monkeypatch):
+    # once for quake's scaled point, once for the lift of L
+    calls = []
+
+    def counted(L, P):
+        calls.append(L)
+        return points.locate_cone(L, P)
+
+    monkeypatch.setattr(earthquake, "locate_cone", counted)
+    monkeypatch.setattr(horocycle, "locate_cone", counted)
+    P = cq.pattern_from_type("B3")
+    g = PositivePoint(0, (1.5, 0.5, 2.0))
+    L = TropicalPoint(0, (0.3, -1.7, 2.2))
+    assert conjugacy_residual(P, g, L, 0.7) <= 1e-10
+    assert len(calls) == 2

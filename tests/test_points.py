@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import clusterquake as cq
+from clusterquake import checks
 from clusterquake import (
     CompletenessError,
     PositivePoint,
@@ -17,6 +19,9 @@ from clusterquake import (
     tropical_transport,
 )
 from clusterquake.seeds import Permutation
+
+ENUMERATE_TYPES = ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3",
+                   "A4", "B4", "C4", "D4", "F4"]
 
 
 @pytest.fixture(scope="module")
@@ -152,13 +157,57 @@ def test_locate_input_in_any_chart(A2):
         assert locate_cone(moved, A2).vertex == vid
 
 
-def test_locate_incomplete_fan_fails():
+def _stub():
     # a single-vertex "pattern" cannot cover the plane; simulate by
     # restricting the budgetless enumeration to the base cone only
     P = cq.pattern_from_type("A2")
-    sub = type(P)(P.vertices[:1], {}, {}, "stub", 10)
+    return type(P)(P.vertices[:1], {}, {}, "stub", 10)
+
+
+def test_locate_incomplete_fan_fails():
     with pytest.raises(CompletenessError):
-        locate_cone(TropicalPoint(0, (-1.0, -1.0)), sub)
+        locate_cone(TropicalPoint(0, (-1.0, -1.0)), _stub())
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_located_coordinates_are_the_transport(label):
+    P = cq.pattern_from_type(label)
+    rng = random.Random(label)
+    for _ in range(20):
+        chart = rng.randrange(len(P))
+        for x in (tuple(rng.uniform(-5, 5) for _ in range(P.n)),
+                  tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                        for _ in range(P.n))):
+            L = TropicalPoint(chart, x)
+            located = locate_cone(L, P)
+            assert located.x == tropical_transport(L, P, located.vertex).x
+
+
+def test_fan_suite_scans_without_locating(monkeypatch):
+    calls = []
+
+    def counted(L, P):
+        calls.append(L)
+        return locate_cone(L, P)
+
+    monkeypatch.setattr(checks, "locate_cone", counted)
+    monkeypatch.setattr(checks, "FAN_SAMPLES", 300)
+    [check] = checks.fan(cq.pattern_from_type("D4"), random.Random(0))
+    assert check.ok and not calls
+
+
+def test_fan_suite_on_incomplete_fan_fails():
+    # the suite raises what locate_cone raises on its first uncovered sample
+    sub = _stub()
+    rng = random.Random(0)
+    L = checks._tropical(sub, rng, 10)
+    while min(L.x) >= -checks.TOL:
+        L = checks._tropical(sub, rng, 10)
+    with pytest.raises(CompletenessError) as want:
+        locate_cone(L, sub)
+    with pytest.raises(CompletenessError) as got:
+        checks.fan(sub, random.Random(0))
+    assert str(got.value) == str(want.value)
 
 
 def test_separation_formula_matches_transport(A2):
