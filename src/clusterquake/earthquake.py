@@ -26,6 +26,7 @@ from .points import (
     PositivePoint,
     TropicalPoint,
     _floats,
+    _logs,
     locate_cone,
     log_transport,
     positive_transport,
@@ -110,6 +111,9 @@ def inverse_quake(P: ExchangePattern, g0: PositivePoint,
         except OverflowError:  # an int or Fraction beyond the float range
             raise FloatRangeError("g or g0 is beyond the float range") \
                 from None
+        except (ValueError, ZeroDivisionError):  # or one that rounds to 0.0
+            raise FloatRangeError("g or g0 is below the float range") \
+                from None
         if all(c >= -TOL for c in x):
             return tropical_transport(TropicalPoint(v, x), P, P.base)
     raise HomeomorphismError(
@@ -122,8 +126,7 @@ def u_coords(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
     """Shear coordinates log(X^(v0)(quake(g, L)) / X^(v0)(g))."""
     if v0 is None:
         v0 = P.base
-    log_g_base = log_transport(tuple(map(math.log, _floats(g.X, "g"))),
-                               P, g.chart, P.base)
+    log_g_base = log_transport(_logs(g.X, "g"), P, g.chart, P.base)
     log_e_base, _ = quake_log(P, log_g_base, L)
     log_e = log_transport(log_e_base, P, P.base, v0)
     log_g = log_transport(log_g_base, P, P.base, v0)
@@ -159,8 +162,7 @@ def dquake(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
 
     v, _, xv = locate_cone(L, P)
     delta = _floats(xv, "L")
-    log_at = log_transport(tuple(map(math.log, _floats(g.X, "g"))),
-                           P, g.chart, v)
+    log_at = log_transport(_logs(g.X, "g"), P, g.chart, v)
     pairs = P.walk(tuple(zip(delta, log_at)), v, g.chart, _tangent_mutation)
     return TangentVector(g, g.chart, tuple(dx for dx, _ in pairs))
 
@@ -176,8 +178,7 @@ def limit_L(P: ExchangePattern, g0: PositivePoint, v: int, k: int, t: float):
     if not t > 0:
         raise PreconditionError("t must be positive")
     ray = TropicalPoint(P.base, P.ray(v, k))
-    log_g0 = log_transport(tuple(map(math.log, _floats(g0.X, "g0"))),
-                           P, g0.chart, P.base)
+    log_g0 = log_transport(_logs(g0.X, "g0"), P, g0.chart, P.base)
     log_e, _ = quake_log(P, log_g0, scale(ray, t))
     estimate = tuple(c / t for c in log_e)
     target = intmat.column(P.opposite_cone_matrix(v), k)

@@ -2,14 +2,16 @@
 
 Terms are stored as a map {exponent tuple: coefficient}; zero coefficients
 are never kept.  Division is exact leading-term elimination from the low
-end (graded-lex, smallest first), which terminates because every
-F-polynomial produced by the recursion has constant term 1.
+end (graded-lex, smallest first); a quotient term of higher degree than
+an exact quotient can have proves the division inexact, so it always
+terminates.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add
 
 from .errors import InternalConsistencyError
 
@@ -32,11 +34,21 @@ class FPolynomial:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _of(cls, nvars, terms):
+        """A polynomial on terms that are already clean: tuple exponents
+        and non-zero int coefficients; the dict is taken, not copied."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        poly._hash = None
+        return poly
+
     # -- constructors --------------------------------------------------
 
     @classmethod
     def constant(cls, nvars, value=1):
-        return cls(nvars, {(0,) * nvars: value} if value else {})
+        return cls._of(nvars, {(0,) * nvars: int(value)} if value else {})
 
     @classmethod
     def variable(cls, nvars, j):
@@ -57,57 +69,73 @@ class FPolynomial:
                 out[exp] = c
             else:
                 out.pop(exp, None)
-        return FPolynomial(self.nvars, out)
+        return FPolynomial._of(self.nvars, out)
 
     def __mul__(self, other):
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 c = out.get(exp, 0) + c1 * c2
                 if c:
                     out[exp] = c
                 else:
                     del out[exp]
-        return FPolynomial(self.nvars, out)
+        return FPolynomial._of(self.nvars, out)
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = FPolynomial.constant(self.nvars)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return FPolynomial.constant(self.nvars) if result is None else result
 
     def exact_div(self, divisor):
-        """self / divisor with remainder required to vanish."""
+        """self / divisor with remainder required to vanish.
+
+        The remainder's terms are eliminated smallest first (graded-lex),
+        each by a multiple of the divisor's smallest term; a term that the
+        smallest one does not divide, or a quotient term of degree above
+        deg(self) - deg(divisor), makes the division inexact."""
         if not divisor.terms:
             raise ZeroDivisionError("division by the zero polynomial")
         d_exp = min(divisor.terms, key=_grlex_key)
         d_coef = divisor.terms[d_exp]
+        rest = [(e, c) for e, c in divisor.terms.items() if e != d_exp]
         rem = dict(self.terms)
+        heap = [(sum(e), e) for e in rem]
+        heapify(heap)
+        # a term of an exact quotient has degree at most deg(self) -
+        # deg(divisor), so the term it eliminates has degree at most top
+        top = (max(heap)[0] - max(map(sum, divisor.terms)) + sum(d_exp)
+               if heap else 0)
         quo = {}
-        while rem:
-            exp = min(rem, key=_grlex_key)
-            coef = rem[exp]
+        while heap:
+            deg, exp = heappop(heap)
+            coef = rem.pop(exp)
+            if not coef:
+                continue
             q_exp = tuple(a - b for a, b in zip(exp, d_exp))
-            if min(q_exp) < 0 or coef % d_coef:
+            if min(q_exp) < 0 or coef % d_coef or deg > top:
                 raise InternalConsistencyError(
                     "inexact polynomial division (wrong C or eps supplied?)")
             q_coef = coef // d_coef
             quo[q_exp] = q_coef
-            for e2, c2 in divisor.terms.items():
-                e = tuple(a + b for a, b in zip(q_exp, e2))
-                c = rem.get(e, 0) - q_coef * c2
-                if c:
-                    rem[e] = c
+            # the product with d_exp cancels exp; every other one is larger
+            # in graded-lex order, so not yet popped
+            for e2, c2 in rest:
+                e = tuple(map(add, q_exp, e2))
+                if e in rem:
+                    rem[e] -= q_coef * c2
                 else:
-                    rem.pop(e, None)
-        return FPolynomial(self.nvars, quo)
+                    rem[e] = -q_coef * c2
+                    heappush(heap, (sum(e), e))
+        return FPolynomial._of(self.nvars, quo)
 
     # -- queries ---------------------------------------------------------
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BoundaryError, GluingDomainError
 from .patterns import ExchangePattern
-from .points import TOL, PositivePoint, TropicalPoint, _floats, \
+from .points import TOL, PositivePoint, TropicalPoint, _floats, _logs, \
     locate_cone, positive_transport, scale
 from .earthquake import quake
 
@@ -81,8 +81,8 @@ def lift(P: ExchangePattern, g: PositivePoint,
     v = located.vertex
     gv = positive_transport(g, P, v)
     return CentralCharge(v, tuple(
-        complex(math.log(a), b)
-        for a, b in zip(_floats(gv.X, "g"), _floats(located.x, "L"))))
+        complex(a, b)
+        for a, b in zip(_logs(gv.X, "g"), _floats(located.x, "L"))))
 
 
 def conjugacy_residual(P: ExchangePattern, g: PositivePoint,

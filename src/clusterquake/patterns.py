@@ -7,9 +7,10 @@ transpositions, deduplicating labeled seeds by the pair
 dual C-matrix C^- and its G-matrix, each from an integer one-step
 recursion, plus its F-polynomials.  These are computed once per
 cluster, along the BFS edge that first reached it; every labeled vertex
-is its cluster's canonical seed with the rows permuted.  The pattern
-object then answers the derived questions: tropical signs, cones and
-the fan, opposite class, FuGy identity, F*C products.
+is its cluster's canonical seed with the rows permuted, stored as that
+pair and built into a PatternVertex the first time it is read.  The
+pattern object then answers the derived questions: tropical signs,
+cones and the fan, opposite class, FuGy identity, F*C products.
 
 Conventions (all 0-based):
   * C-matrix rows are c-vectors; C^s_{v0->v} linearizes the tropical
@@ -100,7 +101,7 @@ def _trop_columns(M, eps, k):
     return tuple(zip(*(_steps.trop_mutation(col, eps, k) for col in zip(*M))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternVertex:
     id: int
     eps: ExchangeMatrix
@@ -127,13 +128,21 @@ class BasedMatrices(NamedTuple):
 
 
 class ExchangePattern:
-    """Immutable labeled exchange graph rooted at vertex 0."""
+    """Immutable labeled exchange graph rooted at vertex 0.
 
-    def __init__(self, vertices, mut_edges, perm_edges, type_tag, cap,
-                 clusters=None, bfs_s=None):
-        self.vertices = tuple(vertices)
-        self.mut_edges = dict(mut_edges)  # (vid, k) -> wid
-        self.perm_edges = dict(perm_edges)  # (vid, images) -> wid
+    Vertex vid is the labeled seed labels[vid] = (cluster id, p), reached
+    from the base by paths[vid]: row i of each of its matrices is row p[i]
+    of the canonical seed clusters[cluster id].  Its PatternVertex is
+    built from there the first time it is read and kept in its slot.  The
+    pattern owns the lists and edge maps it is given."""
+
+    def __init__(self, labels, paths, mut_edges, perm_edges, type_tag, cap,
+                 clusters, bfs_s=None):
+        self._labels = labels
+        self._paths = paths
+        self._slots = [None] * len(labels)
+        self.mut_edges = mut_edges  # (vid, k) -> wid
+        self.perm_edges = perm_edges  # (vid, images) -> wid
         self.base = 0
         self.type_tag = type_tag
         self.cap = cap
@@ -152,21 +161,43 @@ class ExchangePattern:
 
     @property
     def n(self):
-        return self.vertices[0].eps.n
+        return self.eps0.n
 
     @property
     def d(self):
-        return self.vertices[0].eps.d
+        return self.eps0.d
 
     @property
     def eps0(self):
-        return self.vertices[0].eps
+        return self.vertex(0).eps
+
+    @property
+    def vertices(self):
+        """Every vertex, in id order, as a tuple; builds the ones not yet
+        built."""
+        return tuple(map(self.vertex, range(len(self))))
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self._slots)
+
+    def _build(self, vid):
+        """The PatternVertex of an empty slot: its cluster's canonical seed
+        with the rows permuted by its label."""
+        vid %= len(self._slots)
+        c, p = self._labels[vid]
+        cl = self._clusters[c]
+        e = cl.eps.entries
+        C, Cdual, G, Fs = (tuple(map(m.__getitem__, p))
+                           for m in (cl.C, cl.Cdual, cl.G, cl.Fs))
+        v = self._slots[vid] = PatternVertex(
+            id=vid,
+            eps=ExchangeMatrix(
+                tuple(tuple(map(e[a].__getitem__, p)) for a in p), cl.eps.d),
+            C=C, Cdual=Cdual, G=G, Fs=Fs, path=self._paths[vid])
+        return v
 
     def vertex(self, vid) -> PatternVertex:
-        return self.vertices[vid]
+        return self._slots[vid] or self._build(vid)
 
     def neighbor(self, vid, edge):
         kind = edge[0]
@@ -178,7 +209,7 @@ class ExchangePattern:
         """Vertex ids visited by path(vid), base first, vid last."""
         if vid not in self._seq_cache:
             seq = [self.base]
-            for edge in self.vertices[vid].path:
+            for edge in self._paths[vid]:
                 seq.append(self.neighbor(seq[-1], edge))
             if seq[-1] != vid:
                 raise InternalConsistencyError("stored path does not reach vertex")
@@ -194,7 +225,7 @@ class ExchangePattern:
         """
         if src == dst:
             return []
-        p_src, p_dst = self.vertices[src].path, self.vertices[dst].path
+        p_src, p_dst = self._paths[src], self._paths[dst]
         s_src, s_dst = self.vertex_sequence(src), self.vertex_sequence(dst)
         common = 0
         while (common < len(p_src) and common < len(p_dst)
@@ -217,9 +248,11 @@ class ExchangePattern:
         if len(state) != self.n:
             raise ValueError(f"point has {len(state)} coordinates, "
                              f"pattern has rank {self.n}")
+        slots = self._slots
         for at, edge in self.route(src, dst):
             if edge[0] == "mu":
-                state = mutation(state, self.vertices[at].eps.entries,
+                state = mutation(state,
+                                 (slots[at] or self._build(at)).eps.entries,
                                  edge[1])
             else:
                 state = _steps.apply_perm(state, edge[1])
@@ -229,7 +262,7 @@ class ExchangePattern:
 
     def tropical_sign(self, vid, k):
         """Sign (+1/-1) of the k-th c-vector at the given vertex."""
-        return _row_sign(self.vertices[vid].C[k])
+        return _row_sign(self.vertex(vid).C[k])
 
     def cone_matrix(self, vid):
         """C^s_{v->v0}: transport of the chart-v basis vectors to the base
@@ -242,7 +275,7 @@ class ExchangePattern:
     def cone_matrix_inv(self, vid):
         """C^{-s}_{v0->v}, the inverse of cone_matrix(v): its rows give the
         coordinates of a base-chart point in the cone generators."""
-        return self.vertices[vid].Cdual
+        return self.vertex(vid).Cdual
 
     def based_matrices(self, vid) -> BasedMatrices:
         """C-, F-, and F-degree matrices of the pattern re-based at vid
@@ -267,7 +300,7 @@ class ExchangePattern:
         same path, read off the G-matrix by tropical duality: entry (i, j)
         is d_i * G_ji / d_j (Nakanishi-Zelevinsky)."""
         if vid not in self._opp_cone_cache:
-            d, G = self.d, self.vertices[vid].G
+            d, G = self.d, self.vertex(vid).G
             scaled = [[(di * G[j][i], dj) for j, dj in enumerate(d)]
                       for i, di in enumerate(d)]
             if any(a % b for row in scaled for a, b in row):
@@ -296,7 +329,7 @@ class ExchangePattern:
         if vid not in self._opp_map:
             opp = self.opposite()
             w = opp.base
-            for edge in self.vertices[vid].path:
+            for edge in self._paths[vid]:
                 w = opp.neighbor(w, edge)
             self._opp_map[vid] = w
         return self._opp_map[vid]
@@ -319,7 +352,7 @@ class ExchangePattern:
 
     def fc_product(self, vid, sign=1):
         """F^s_{v->v0} * C^{(+/-)s}_{v0->v} and whether it is entrywise <= 0."""
-        v = self.vertices[vid]
+        v = self.vertex(vid)
         product = intmat.matmul(self.based_matrices(vid).Fmat,
                                 v.C if sign >= 0 else v.Cdual)
         ok = all(x <= 0 for row in product for x in row)
@@ -330,15 +363,14 @@ class ExchangePattern:
     def fan(self):
         """Maximal cones, deduplicated across relabeled vertices.
 
-        Two vertices share a cone exactly when their cone matrices have the
-        same set of columns, that is when their inverses (the Cdual
-        matrices) have the same set of rows; the generators are then
+        The vertices of one cluster share its cone, and distinct clusters
+        of a finite type have distinct cones; the generators are
         transported once per cone, for its lowest vertex id."""
         if self._fan is None:
             start = time.process_time()
             groups = {}
-            for v in self.vertices:
-                groups.setdefault(frozenset(v.Cdual), []).append(v.id)
+            for vid, (c, _) in enumerate(self._labels):
+                groups.setdefault(c, []).append(vid)
             cones = []
             for members in groups.values():
                 rep = members[0]
@@ -358,12 +390,12 @@ class ExchangePattern:
     def stats(self):
         """Counts, CPU seconds per phase and cache sizes, as a dict.
 
-        Builds the fan if it has not been built.  `clusters` and `bfs_s`
-        are None for a pattern not made by enumerate_pattern."""
+        Builds the fan if it has not been built.  `vertex_cache` counts
+        the vertices built so far."""
         fan = self.fan()
         return {
-            "vertices": len(self.vertices),
-            "clusters": self._clusters,
+            "vertices": len(self),
+            "clusters": len(self._clusters),
             "mutation_edges": len(self.mut_edges) // 2,
             "relabel_edges": len(self.perm_edges) // 2,
             "cones": len(fan),
@@ -372,6 +404,7 @@ class ExchangePattern:
             "seq_cache": len(self._seq_cache),
             "based_cache": len(self._based_cache),
             "cone_cache": len(self._cone_cache),
+            "vertex_cache": len(self._slots) - self._slots.count(None),
         }
 
     # -- serialization --------------------------------------------------------
@@ -414,13 +447,12 @@ def _resolve_cap(cap):
     return cap
 
 
-def _two_finite_violation(eps: ExchangeMatrix):
-    """A pair (i, j) with |eps_ij * eps_ji| > 3, or None.  No matrix in a
-    mutation class of finite type has one (Fomin-Zelevinsky, Cluster
-    algebras II)."""
-    e = eps.entries
-    for i in range(eps.n):
-        for j in range(i + 1, eps.n):
+def _two_finite_violation(e):
+    """A pair (i, j) with |e_ij * e_ji| > 3 in the exchange matrix entries
+    e, or None.  No matrix in a mutation class of finite type has one
+    (Fomin-Zelevinsky, Cluster algebras II)."""
+    for i in range(len(e)):
+        for j in range(i + 1, len(e)):
             if abs(e[i][j] * e[j][i]) > 3:
                 return i, j
     return None
@@ -488,17 +520,20 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     cluster_of = {}  # frozenset of c-vectors -> cluster id
     memo = {}  # (cluster id, direction) -> (cluster id, tau)
     checked = set()  # cluster ids whose matrix passed the finite-type test
-    vertices = []
     labels = []  # vid -> (cluster id, p)
+    paths = []  # vid -> edges from the base
     index = {}  # (cluster id, p) -> vid
     mut_edges = {}
     perm_edges = {}
-    transpositions = [s.images for s in eps0.admissible_transpositions()]
+    # one tuple per edge label, shared by every path that takes it
+    mu_steps = [(k, ("mu", k)) for k in range(n)]
+    perm_steps = [(s.images, ("perm", s.images))
+                  for s in eps0.admissible_transpositions()]
     queue = deque()
 
     def pattern_so_far():
-        return ExchangePattern(vertices, mut_edges, perm_edges, type_tag,
-                               cap, clusters=len(clusters),
+        return ExchangePattern(labels, paths, mut_edges, perm_edges,
+                               type_tag, cap, clusters,
                                bfs_s=time.process_time() - start)
 
     def new_cluster(eps, C, Cdual, G, Fs):
@@ -513,10 +548,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         return len(clusters) - 1
 
     def mutate(c, q):
-        """(cluster', tau) reached from cluster c by mutation q."""
-        hit = memo.get((c, q))
-        if hit is not None:
-            return hit
+        """(cluster', tau) reached from cluster c by mutation q, memoised."""
         src = clusters[c]
         eps = src.eps.mutate(q)
         C = mutate_c_matrix(src.C, src.eps, q)
@@ -542,65 +574,60 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         memo[(target, tau[q])] = (c, tuple(inverse))
         return target, tau
 
-    def add(c, p, path):
-        vid = len(vertices)
+    def add(label, path):
+        vid = len(labels)
         if vid >= cap:
             raise PatternBudgetError(
                 f"exchange graph exceeds {cap} vertices; the mutation class "
                 "does not look finite (raise the cap via CLUSTER_QUAKE_CAP "
                 "if it is)", partial=pattern_so_far())
-        cl = clusters[c]
-        e = cl.eps.entries
-        eps = ExchangeMatrix(tuple(tuple(e[a][b] for b in p) for a in p), d)
-        C, Cdual, G, Fs = (tuple(m[a] for a in p)
-                           for m in (cl.C, cl.Cdual, cl.G, cl.Fs))
-        vertices.append(PatternVertex(
-            id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, path=path))
-        labels.append((c, p))
-        index[(c, p)] = vid
+        labels.append(label)
+        paths.append(path)
+        index[label] = vid
         queue.append(vid)
         return vid
 
     ident_m = intmat.identity(n)
     new_cluster(eps0, ident_m, ident_m, ident_m,
                 tuple(FPolynomial.constant(n) for _ in range(n)))
-    add(0, ident, ())
+    add((0, ident), ())
     while queue:
         vid = queue.popleft()
         c, p = labels[vid]
-        path = vertices[vid].path
+        path = paths[vid]
         if c not in checked:
             # the first vertex popped from a cluster; relabeling keeps
             # |eps_ij * eps_ji| over the pairs, so one test per cluster
             checked.add(c)
-            eps = vertices[vid].eps
-            bad = _two_finite_violation(eps)
+            e = clusters[c].eps.entries
+            e = tuple(tuple(e[a][b] for b in p) for a in p)
+            bad = _two_finite_violation(e)
             if bad is not None:
                 i, j = bad
-                product = abs(eps.entries[i][j] * eps.entries[j][i])
                 raise NotFiniteTypeError(
                     f"exchange matrix at vertex {vid} has |eps_{i}{j} * "
-                    f"eps_{j}{i}| = {product} > 3; the mutation class is "
-                    "not of finite type", partial=pattern_so_far())
-        for k in range(n):
+                    f"eps_{j}{i}| = {abs(e[i][j] * e[j][i])} > 3; the "
+                    "mutation class is not of finite type",
+                    partial=pattern_so_far())
+        for k, step in mu_steps:
             if (vid, k) in mut_edges:
                 continue
-            target, tau = mutate(c, p[k])
-            q = tuple(tau[a] for a in p)
-            wid = index.get((target, q))
+            target, tau = memo.get((c, p[k])) or mutate(c, p[k])
+            label = (target, tuple(map(tau.__getitem__, p)))
+            wid = index.get(label)
             if wid is None:
-                wid = add(target, q, path + (("mu", k),))
+                wid = add(label, path + (step,))
             mut_edges[(vid, k)] = wid
             mut_edges[(wid, k)] = vid
-        for images in transpositions:
+        for images, step in perm_steps:
             if (vid, images) in perm_edges:
                 continue
             # row i of the relabeled seed is row images^-1(i) = images(i)
             # (a transposition is its own inverse)
-            q = tuple(p[j] for j in images)
-            wid = index.get((c, q))
+            label = (c, tuple(map(p.__getitem__, images)))
+            wid = index.get(label)
             if wid is None:
-                wid = add(c, q, path + (("perm", images),))
+                wid = add(label, path + (step,))
             perm_edges[(vid, images)] = wid
             perm_edges[(wid, images)] = vid
     return pattern_so_far()

@@ -38,6 +38,16 @@ def _floats(values, name):
         raise FloatRangeError(f"{name} is beyond the float range") from None
 
 
+def _logs(values, name):
+    """Logarithms of positive coordinates, as floats; a value beyond the
+    float range, or one so small that it rounds to 0.0, raises
+    FloatRangeError naming the point."""
+    floats = _floats(values, name)
+    if 0.0 in floats:
+        raise FloatRangeError(f"{name} is below the float range")
+    return tuple(map(math.log, floats))
+
+
 @dataclass(frozen=True)
 class TropicalPoint:
     chart: int

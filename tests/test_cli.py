@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -251,12 +252,33 @@ def test_bad_coordinate_is_a_usage_error(capsys, L, why):
     "dquake --type A2 --g0 1,1 --L=1e400,1",
     "inverse --type A2 --g0 1,1 --g 1e400,1",
     "horocycle --type A2 --g0 1e400,1 --L 1,2",
+    "dquake --type A2 --g0 1e-400,1 --L 1,1",
+    "inverse --type A2 --g0 1,1 --g 1e-400,1",
+    "horocycle --type A2 --g0 1e-400,1 --L 1,2",
+    "limits --type A2 --g0 1e-400,1",
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     # an exception main() does not turn into exit 2 fails the test
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and err.startswith("error:") and not out
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("enumerate --type D4",
+     "d47561be810ae0fcaf272ffc8b1bfda93fe3a849a36a860e00e8d3664e4e6f0c"),
+    ("enumerate --type B3",
+     "2017d6f26e1236faaa0d631b24c35a10a7a4b30db1788bb7ba445b68fd4ebadd"),
+    ("fan --type F4",
+     "b5b4f36ae0e8c82cf9fe3ffb4dea714f0c12ede73afd0c7f84dc373eedc117f1"),
+    ("fan --type D4",
+     "c8f1808c17b3acdd08064a16cdedf7e17f6d72f23b50f74b95e5b5acd591ca3c"),
+])
+def test_pattern_output_bytes_are_pinned(capsys, argv, digest):
+    # sha256 of stdout as the eager labeled-seed build printed it
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_stats_go_to_stderr(capsys):
@@ -268,6 +290,7 @@ def test_enumerate_stats_go_to_stderr(capsys):
     stats = json.loads(lines[0])
     assert stats["vertices"] == 40 and stats["cones"] == 20
     assert stats["clusters"] == 20
+    assert stats["vertex_cache"] == 40  # enumerate prints every vertex
 
 
 def test_cli_import_leaves_numpy_out():

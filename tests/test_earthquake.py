@@ -99,8 +99,10 @@ def test_round_trip_property(which, g0x, Lx):
 
 
 def test_inverse_requires_complete_fan():
-    P = pattern("A2")
-    stub = type(P)(P.vertices[:1], {}, {}, "stub", True, 10)
+    # the one-vertex partial pattern of a build stopped by its cap
+    with pytest.raises(cq.PatternBudgetError) as err:
+        cq.pattern_from_type("A2", cap=1)
+    stub = err.value.partial
     g0 = PositivePoint(0, (1.0, 1.0))
     with pytest.raises(HomeomorphismError):
         inverse_quake(stub, g0, PositivePoint(0, (0.5, 0.5)))

@@ -50,6 +50,32 @@ def test_multiply_then_divide(p):
     assert (q * p).exact_div(q) == p
 
 
+@st.composite
+def divisions(draw):
+    """(a, b, m) in the same variables: a polynomial a, a divisor b with
+    constant term 1 and at least one other term, and a monomial m."""
+    nvars = draw(st.integers(1, 3))
+    one = FPolynomial.constant(nvars)
+    a = _poly_strategy(draw, nvars)
+    r = _poly_strategy(draw, nvars)
+    y = FPolynomial.variable(nvars, draw(st.integers(0, nvars - 1)))
+    b = one + y * (r if r.terms else one)
+    m = FPolynomial.monomial(
+        nvars, tuple(draw(st.integers(0, 4)) for _ in range(nvars)),
+        draw(st.integers(1, 4)) * draw(st.sampled_from((1, -1))))
+    return a, b, m
+
+
+@given(divisions())
+def test_exact_div_undoes_multiplication(case):
+    a, b, m = case
+    assert (a * b).exact_div(b) == a
+    # b has two terms or more, so no multiple of b differs from a * b by
+    # one monomial: the division must fail, and must stop
+    with pytest.raises(InternalConsistencyError):
+        (a * b + m).exact_div(b)
+
+
 def test_exact_div_failure():
     x = FPolynomial.variable(2, 0)
     one = FPolynomial.constant(2)

@@ -73,19 +73,25 @@ def conjugate_by_diag(d, m):
     return tuple(out)
 
 
-def labeled_bfs_oracle(eps0, type_tag="custom"):
+def labeled_bfs_oracle(eps0, type_tag="custom", cap=None):
     """The labeled-seed BFS as it was before the per-cluster memo: every
     labeled seed is mutated and relabeled with the exact recursions
     (ExchangeMatrix.relabel and _steps.apply_perm on relabel edges) and
     deduplicated by (eps, C).  Kept as the reference for enumerate_pattern
-    on finite types."""
+    on finite types; with a cap it stops where enumerate_pattern raises
+    PatternBudgetError, and returns what it has."""
     n = eps0.n
     vertices, index, mut_edges, perm_edges = [], {}, {}, {}
     transpositions = eps0.admissible_transpositions()
     queue = deque()
 
+    class Full(Exception):
+        pass
+
     def add(eps, C, Cdual, G, Fs, path):
         vid = len(vertices)
+        if cap is not None and vid >= cap:
+            raise Full
         vertices.append(PatternVertex(
             id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, path=path))
         index[(eps.entries, C)] = vid
@@ -95,38 +101,59 @@ def labeled_bfs_oracle(eps0, type_tag="custom"):
     ident = intmat.identity(n)
     add(eps0, ident, ident, ident,
         tuple(FPolynomial.constant(n) for _ in range(n)), ())
-    while queue:
-        cur = vertices[queue.popleft()]
-        vid, eps, C = cur.id, cur.eps, cur.C
-        for k in range(n):
-            if (vid, k) in mut_edges:
-                continue
-            new_eps = eps.mutate(k)
-            new_c = mutate_c_matrix(C, eps, k)
-            wid = index.get((new_eps.entries, new_c))
-            if wid is None:
-                wid = add(new_eps, new_c,
-                          mutate_c_matrix(cur.Cdual, -eps, k),
-                          mutate_g_matrix(cur.G, C, eps, k),
-                          patterns.mutate_F(cur.Fs, C, eps, k),
-                          cur.path + (("mu", k),))
-            mut_edges[(vid, k)] = wid
-            mut_edges[(wid, k)] = vid
-        for sigma in transpositions:
-            if (vid, sigma.images) in perm_edges:
-                continue
-            new_eps = eps.relabel(sigma)
-            new_c = _steps.apply_perm(C, sigma.images)
-            wid = index.get((new_eps.entries, new_c))
-            if wid is None:
-                wid = add(new_eps, new_c,
-                          _steps.apply_perm(cur.Cdual, sigma.images),
-                          _steps.apply_perm(cur.G, sigma.images),
-                          _steps.apply_perm(cur.Fs, sigma.images),
-                          cur.path + (("perm", sigma.images),))
-            perm_edges[(vid, sigma.images)] = wid
-            perm_edges[(wid, sigma.images)] = vid
-    return ExchangePattern(vertices, mut_edges, perm_edges, type_tag, None)
+    try:
+        while queue:
+            cur = vertices[queue.popleft()]
+            vid, eps, C = cur.id, cur.eps, cur.C
+            for k in range(n):
+                if (vid, k) in mut_edges:
+                    continue
+                new_eps = eps.mutate(k)
+                new_c = mutate_c_matrix(C, eps, k)
+                wid = index.get((new_eps.entries, new_c))
+                if wid is None:
+                    wid = add(new_eps, new_c,
+                              mutate_c_matrix(cur.Cdual, -eps, k),
+                              mutate_g_matrix(cur.G, C, eps, k),
+                              patterns.mutate_F(cur.Fs, C, eps, k),
+                              cur.path + (("mu", k),))
+                mut_edges[(vid, k)] = wid
+                mut_edges[(wid, k)] = vid
+            for sigma in transpositions:
+                if (vid, sigma.images) in perm_edges:
+                    continue
+                new_eps = eps.relabel(sigma)
+                new_c = _steps.apply_perm(C, sigma.images)
+                wid = index.get((new_eps.entries, new_c))
+                if wid is None:
+                    wid = add(new_eps, new_c,
+                              _steps.apply_perm(cur.Cdual, sigma.images),
+                              _steps.apply_perm(cur.G, sigma.images),
+                              _steps.apply_perm(cur.Fs, sigma.images),
+                              cur.path + (("perm", sigma.images),))
+                perm_edges[(vid, sigma.images)] = wid
+                perm_edges[(wid, sigma.images)] = vid
+    except Full:
+        pass
+    return pattern_of(vertices, mut_edges, perm_edges, type_tag)
+
+
+def pattern_of(vertices, mut_edges, perm_edges, type_tag):
+    """An ExchangePattern whose slots hold the given vertices as they
+    are, each labeled by its cone, numbered in order of first appearance
+    (it has no clusters to build a vertex from).  Two
+    vertices share a cone exactly when their cone matrices have the same
+    set of columns, that is when their inverses (the Cdual matrices) have
+    the same set of rows; so the pattern's fan() is the fan oracle."""
+    cones = {}
+    labels = []
+    for v in vertices:
+        c, first = cones.setdefault(frozenset(v.Cdual), (len(cones), v.Cdual))
+        labels.append((c, tuple(map(first.index, v.Cdual))))
+    P = ExchangePattern(labels, [v.path for v in vertices], mut_edges,
+                        perm_edges, type_tag, None, None)
+    P._slots[:] = vertices
+    return P
 
 
 def a2():
@@ -432,6 +459,8 @@ def test_stats():
         "relabel_edges": 1200 * 6 // 2, "cones": 50}
     assert stats["bfs_s"] > 0 and stats["fan_s"] >= 0
     assert stats["cone_cache"] == 50 and stats["based_cache"] == 0
+    # the fan builds the vertices its representatives' routes pass
+    assert 0 < stats["vertex_cache"] < 1200
     P.based_matrices(7)
     assert P.stats["based_cache"] == 1
 
@@ -469,9 +498,71 @@ def test_opposite_sign_matrices_need_no_second_pattern(monkeypatch, capsys):
 def test_opposite_cone_matrix_must_be_integral():
     # B2 has d = (1, 2): entry (0, 1) is d_0 * G_10 / d_1 = G_10 / 2
     P = pattern_from_type("B2")
-    v = P.vertex(0)
     odd_g = ((1, 0), (1, 1))
-    P.vertices = (dataclasses.replace(v, G=odd_g),) + P.vertices[1:]
+    P._slots[0] = dataclasses.replace(P.vertex(0), G=odd_g)
     with pytest.raises(InternalConsistencyError, match="integral"):
         P.opposite_cone_matrix(0)
 
+
+def assert_prefix_of_oracle(partial, oracle):
+    # vertex i agrees wherever both patterns have one, and every edge of
+    # the partial pattern is an edge of the oracle
+    assert len(partial) <= len(oracle)
+    assert partial.vertices == oracle.vertices[:len(partial)]
+    assert partial.mut_edges.items() <= oracle.mut_edges.items()
+    assert partial.perm_edges.items() <= oracle.perm_edges.items()
+
+
+@pytest.mark.parametrize("label", ["D4", "B3"])
+@pytest.mark.parametrize("cap", [1, 7, 50, 333])
+def test_budget_partial_matches_labeled_bfs_oracle(label, cap):
+    # B3 has 40 vertices, so caps 50 and 333 build it whole
+    eps0 = seed_from_type(label)
+    try:
+        partial = enumerate_pattern(eps0, cap=cap, type_tag=label)
+    except PatternBudgetError as err:
+        partial = err.partial
+    oracle = labeled_bfs_oracle(eps0, label, cap)
+    assert len(partial) == len(oracle) == min(cap, {"D4": 1200,
+                                                    "B3": 40}[label])
+    assert_prefix_of_oracle(partial, oracle)
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FINITE_TYPE))
+def test_not_finite_partial_matches_labeled_bfs_oracle(name):
+    eps = ExchangeMatrix.make(NOT_FINITE_TYPE[name])
+    with pytest.raises(NotFiniteTypeError) as err:
+        enumerate_pattern(eps)
+    partial = err.value.partial
+    # the F-polynomials of these classes grow fast: stop the oracle at the
+    # partial pattern's size
+    oracle = labeled_bfs_oracle(eps, cap=len(partial))
+    assert len(oracle) == len(partial)
+    assert_prefix_of_oracle(partial, oracle)
+
+
+@pytest.mark.parametrize("label", ["B3", "D4"])
+def test_vertices_read_like_a_tuple(label):
+    eps0 = seed_from_type(label)
+    P = enumerate_pattern(eps0, type_tag=label)
+    expected = labeled_bfs_oracle(eps0, label).vertices
+    assert len(P.vertices) == len(P) == len(expected)
+    assert P.vertices[-1] == expected[-1] and P.vertices[-7] == expected[-7]
+    assert P.vertices[3:40:5] == expected[3:40:5]
+    assert P.vertices[::-1] == expected[::-1]
+    assert P.vertices == expected
+    assert list(P.vertices) == list(expected)
+    assert [v.id for v in P.vertices] == list(range(len(P)))
+    with pytest.raises(IndexError):
+        P.vertices[len(P)]
+
+
+def test_vertices_are_built_on_first_read():
+    P = pattern_from_type("D4")
+    assert P._slots.count(None) == len(P)  # stats would build the fan
+    v = P.vertex(5)
+    assert P.vertex(5) is v
+    P.fan()
+    assert 0 < P.stats["vertex_cache"] < len(P)
+    assert P.vertices[5] is v
+    assert P.stats["vertex_cache"] == len(P)

@@ -158,10 +158,12 @@ def test_locate_input_in_any_chart(A2):
 
 
 def _stub():
-    # a single-vertex "pattern" cannot cover the plane; simulate by
-    # restricting the budgetless enumeration to the base cone only
-    P = cq.pattern_from_type("A2")
-    return type(P)(P.vertices[:1], {}, {}, "stub", 10)
+    # a single-vertex pattern cannot cover the plane: the partial pattern
+    # of a build stopped by its cap holds the base cone only
+    try:
+        cq.pattern_from_type("A2", cap=1)
+    except cq.PatternBudgetError as err:
+        return err.partial
 
 
 def test_locate_incomplete_fan_fails():
