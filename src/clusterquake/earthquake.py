@@ -69,9 +69,11 @@ def quake(P: ExchangePattern, g0: PositivePoint,
           L: TropicalPoint) -> EarthquakeResult:
     """The image of g0 under the earthquake along L, in g0's chart.
 
-    Raises FloatRangeError when a coordinate of the image (or of a chart
-    on the way) leaves the float range; quake_log evaluates those.
+    Raises FloatRangeError when g0, or a coordinate of the image (or of a
+    chart on the way), is outside the float range; quake_log evaluates
+    the image.
     """
+    _logs(g0.X, "g0")
     v, _, xv = locate_cone(L, P)
     try:
         g = quake_multiplier(P, g0, v, tuple(math.exp(float(c)) for c in xv))

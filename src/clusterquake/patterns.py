@@ -130,28 +130,28 @@ class BasedMatrices(NamedTuple):
 class ExchangePattern:
     """Immutable labeled exchange graph rooted at vertex 0.
 
-    Vertex vid is the labeled seed labels[vid] = (cluster id, p), reached
-    from the base by paths[vid]: row i of each of its matrices is row p[i]
-    of the canonical seed clusters[cluster id].  Its PatternVertex is
-    built from there the first time it is read and kept in its slot.  The
-    pattern owns the lists and edge maps it is given."""
+    Vertex vid is the labeled seed labels[vid] = (cluster id, p), first
+    reached by the BFS tree edge parents[vid] = (parent id, edge): row i
+    of each of its matrices is row p[i] of the canonical seed
+    clusters[cluster id].  Its PatternVertex is built from there the first
+    time it is read and kept in its slot.  The pattern owns the lists and
+    edge maps it is given."""
 
-    def __init__(self, labels, paths, mut_edges, perm_edges, type_tag, cap,
+    def __init__(self, labels, parents, mut_edges, perm_edges, type_tag, cap,
                  clusters, bfs_s=None):
         self._labels = labels
-        self._paths = paths
+        self._parents = parents
         self._slots = [None] * len(labels)
         self.mut_edges = mut_edges  # (vid, k) -> wid
         self.perm_edges = perm_edges  # (vid, images) -> wid
         self.base = 0
         self.type_tag = type_tag
         self.cap = cap
-        self._seq_cache = {}
         self._based_cache = {}
         self._cone_cache = {}
         self._opp_cone_cache = {}
         self._opposite = None
-        self._opp_map = None
+        self._opp_map = {}
         self._fan = None
         self._clusters = clusters
         self._bfs_s = bfs_s
@@ -193,7 +193,8 @@ class ExchangePattern:
             id=vid,
             eps=ExchangeMatrix(
                 tuple(tuple(map(e[a].__getitem__, p)) for a in p), cl.eps.d),
-            C=C, Cdual=Cdual, G=G, Fs=Fs, path=self._paths[vid])
+            C=C, Cdual=Cdual, G=G, Fs=Fs,
+            path=tuple(edge for _, edge in self.route(self.base, vid)))
         return v
 
     def vertex(self, vid) -> PatternVertex:
@@ -206,37 +207,34 @@ class ExchangePattern:
         return self.perm_edges[(vid, edge[1])]
 
     def vertex_sequence(self, vid):
-        """Vertex ids visited by path(vid), base first, vid last."""
-        if vid not in self._seq_cache:
-            seq = [self.base]
-            for edge in self._paths[vid]:
-                seq.append(self.neighbor(seq[-1], edge))
-            if seq[-1] != vid:
-                raise InternalConsistencyError("stored path does not reach vertex")
-            self._seq_cache[vid] = tuple(seq)
-        return self._seq_cache[vid]
+        """Vertex ids on the tree path from the base to vid, both included."""
+        return tuple(at for at, _ in self.route(self.base, vid)) + (vid,)
 
     def route(self, src, dst):
         """Steps [(ambient vid, edge), ...] leading from chart src to dst.
 
-        Built from the stored base paths with the common prefix cancelled;
-        a path is walked back edge by edge, since every edge is its own
+        Read off the BFS tree: a parent's id is smaller than its child's,
+        so the larger end steps to its parent until the two ends meet.  An
+        edge going up is walked back as it is, since every edge is its own
         inverse (mutations, and relabelings by transpositions).
         """
-        if src == dst:
-            return []
-        p_src, p_dst = self._paths[src], self._paths[dst]
-        s_src, s_dst = self.vertex_sequence(src), self.vertex_sequence(dst)
-        common = 0
-        while (common < len(p_src) and common < len(p_dst)
-               and p_src[common] == p_dst[common]):
-            common += 1
-        steps = []
-        for pos in range(len(p_src) - 1, common - 1, -1):
-            steps.append((s_src[pos + 1], p_src[pos]))
-        for pos in range(common, len(p_dst)):
-            steps.append((s_dst[pos], p_dst[pos]))
-        return steps
+        parents = self._parents
+        n = len(parents)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise PreconditionError(
+                f"charts {src} and {dst} must be vertex ids in range({n})")
+        up, down = [], []
+        while src != dst:
+            if src > dst:
+                parent, edge = parents[src]
+                up.append((src, edge))
+                src = parent
+            else:
+                parent, edge = parents[dst]
+                down.append((parent, edge))
+                dst = parent
+        down.reverse()
+        return up + down
 
     def walk(self, state, src, dst, mutation):
         """Carry `state`, a sequence indexed by direction, from chart src
@@ -246,8 +244,8 @@ class ExchangePattern:
         entries of the exchange matrix of the chart the step starts from;
         a relabel edge permutes the entries of state by its images."""
         if len(state) != self.n:
-            raise ValueError(f"point has {len(state)} coordinates, "
-                             f"pattern has rank {self.n}")
+            raise PreconditionError(f"point has {len(state)} coordinates, "
+                                    f"pattern has rank {self.n}")
         slots = self._slots
         for at, edge in self.route(src, dst):
             if edge[0] == "mu":
@@ -323,13 +321,11 @@ class ExchangePattern:
         return self._opposite
 
     def opposite_vertex(self, vid):
-        """Vertex of opposite() reached by replaying path(vid)."""
-        if self._opp_map is None:
-            self._opp_map = {}
+        """Vertex of opposite() reached by replaying the path of vid."""
         if vid not in self._opp_map:
             opp = self.opposite()
             w = opp.base
-            for edge in self._paths[vid]:
+            for _, edge in self.route(self.base, vid):
                 w = opp.neighbor(w, edge)
             self._opp_map[vid] = w
         return self._opp_map[vid]
@@ -401,7 +397,6 @@ class ExchangePattern:
             "cones": len(fan),
             "bfs_s": self._bfs_s,
             "fan_s": self._fan_s,
-            "seq_cache": len(self._seq_cache),
             "based_cache": len(self._based_cache),
             "cone_cache": len(self._cone_cache),
             "vertex_cache": len(self._slots) - self._slots.count(None),
@@ -521,18 +516,18 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     memo = {}  # (cluster id, direction) -> (cluster id, tau)
     checked = set()  # cluster ids whose matrix passed the finite-type test
     labels = []  # vid -> (cluster id, p)
-    paths = []  # vid -> edges from the base
+    parents = []  # vid -> (BFS parent id, edge); None at the base
     index = {}  # (cluster id, p) -> vid
     mut_edges = {}
     perm_edges = {}
-    # one tuple per edge label, shared by every path that takes it
+    # one tuple per edge label, shared by every tree edge that takes it
     mu_steps = [(k, ("mu", k)) for k in range(n)]
     perm_steps = [(s.images, ("perm", s.images))
                   for s in eps0.admissible_transpositions()]
     queue = deque()
 
     def pattern_so_far():
-        return ExchangePattern(labels, paths, mut_edges, perm_edges,
+        return ExchangePattern(labels, parents, mut_edges, perm_edges,
                                type_tag, cap, clusters,
                                bfs_s=time.process_time() - start)
 
@@ -574,7 +569,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         memo[(target, tau[q])] = (c, tuple(inverse))
         return target, tau
 
-    def add(label, path):
+    def add(label, parent):
         vid = len(labels)
         if vid >= cap:
             raise PatternBudgetError(
@@ -582,7 +577,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                 "does not look finite (raise the cap via CLUSTER_QUAKE_CAP "
                 "if it is)", partial=pattern_so_far())
         labels.append(label)
-        paths.append(path)
+        parents.append(parent)
         index[label] = vid
         queue.append(vid)
         return vid
@@ -590,11 +585,10 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     ident_m = intmat.identity(n)
     new_cluster(eps0, ident_m, ident_m, ident_m,
                 tuple(FPolynomial.constant(n) for _ in range(n)))
-    add((0, ident), ())
+    add((0, ident), None)
     while queue:
         vid = queue.popleft()
         c, p = labels[vid]
-        path = paths[vid]
         if c not in checked:
             # the first vertex popped from a cluster; relabeling keeps
             # |eps_ij * eps_ji| over the pairs, so one test per cluster
@@ -616,7 +610,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
             label = (target, tuple(map(tau.__getitem__, p)))
             wid = index.get(label)
             if wid is None:
-                wid = add(label, path + (step,))
+                wid = add(label, (vid, step))
             mut_edges[(vid, k)] = wid
             mut_edges[(wid, k)] = vid
         for images, step in perm_steps:
@@ -627,7 +621,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
             label = (c, tuple(map(p.__getitem__, images)))
             wid = index.get(label)
             if wid is None:
-                wid = add(label, path + (step,))
+                wid = add(label, (vid, step))
             perm_edges[(vid, images)] = wid
             perm_edges[(wid, images)] = vid
     return pattern_so_far()

@@ -238,6 +238,9 @@ def test_bad_coordinate_is_a_usage_error(capsys, L, why):
     assert code == 2 and err.startswith("error:") and why in err
 
 
+G0_BELOW_RANGE = "quake --type A2 --g0 1e-400,1 --L 1,1"
+
+
 @pytest.mark.parametrize("argv", [
     "inverse --type A2 --g0 1,1 --g 1,2,3",
     "limits --type A2 --t -5",
@@ -256,12 +259,16 @@ def test_bad_coordinate_is_a_usage_error(capsys, L, why):
     "inverse --type A2 --g0 1,1 --g 1e-400,1",
     "horocycle --type A2 --g0 1e-400,1 --L 1,2",
     "limits --type A2 --g0 1e-400,1",
+    G0_BELOW_RANGE,
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     # an exception main() does not turn into exit 2 fails the test
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and err.startswith("error:") and not out
     assert "Traceback" not in err
+    if argv == G0_BELOW_RANGE:
+        # the fault is the starting point's, not the image's
+        assert "g0" in err
 
 
 @pytest.mark.parametrize("argv, digest", [

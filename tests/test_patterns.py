@@ -144,14 +144,19 @@ def pattern_of(vertices, mut_edges, perm_edges, type_tag):
     (it has no clusters to build a vertex from).  Two
     vertices share a cone exactly when their cone matrices have the same
     set of columns, that is when their inverses (the Cdual matrices) have
-    the same set of rows; so the pattern's fan() is the fan oracle."""
+    the same set of rows; so the pattern's fan() is the fan oracle.  The
+    BFS parent of a vertex is the one whose path is its path without the
+    last edge."""
     cones = {}
     labels = []
     for v in vertices:
         c, first = cones.setdefault(frozenset(v.Cdual), (len(cones), v.Cdual))
         labels.append((c, tuple(map(first.index, v.Cdual))))
-    P = ExchangePattern(labels, [v.path for v in vertices], mut_edges,
-                        perm_edges, type_tag, None, None)
+    by_path = {v.path: v.id for v in vertices}
+    parents = [(by_path[v.path[:-1]], v.path[-1]) if v.path else None
+               for v in vertices]
+    P = ExchangePattern(labels, parents, mut_edges, perm_edges, type_tag,
+                        None, None)
     P._slots[:] = vertices
     return P
 
@@ -307,6 +312,66 @@ def test_route_replay_reaches_destination():
                 assert ambient == at
                 at = P.neighbor(at, edge)
             assert at == dst
+
+
+@pytest.mark.parametrize("cap", [None, 333])
+def test_bfs_tree_reaches_every_vertex(cap):
+    try:
+        P = pattern_from_type("D4", cap=cap)
+    except PatternBudgetError as err:
+        P = err.partial
+    assert len(P) == (cap or 1200)
+    assert P._parents[0] is None
+    for vid in range(1, len(P)):
+        parent, edge = P._parents[vid]
+        assert parent < vid
+        assert P.neighbor(parent, edge) == vid
+        seq = [P.base]
+        for step in P.vertex(vid).path:
+            seq.append(P.neighbor(seq[-1], step))
+        assert P.vertex_sequence(vid) == tuple(seq)
+        assert seq[-1] == vid and seq[-2] == parent
+
+
+def prefix_cancelling_route(paths, neighbor, src, dst):
+    """route() as it was built from stored base paths: the common prefix
+    cancelled, src's path walked back, then dst's walked forward."""
+    def sequence(path):
+        seq = [0]
+        for edge in path:
+            seq.append(neighbor(seq[-1], edge))
+        return seq
+
+    p_src, p_dst = paths[src], paths[dst]
+    s_src, s_dst = sequence(p_src), sequence(p_dst)
+    common = 0
+    while (common < min(len(p_src), len(p_dst))
+           and p_src[common] == p_dst[common]):
+        common += 1
+    return ([(s_src[pos + 1], p_src[pos])
+             for pos in range(len(p_src) - 1, common - 1, -1)]
+            + [(s_dst[pos], p_dst[pos]) for pos in range(common, len(p_dst))])
+
+
+def test_route_matches_prefix_cancelling_construction():
+    # the oracle's paths and edge maps come from its own BFS
+    eps0 = seed_from_type("B3")
+    P = enumerate_pattern(eps0, type_tag="B3")
+    oracle = labeled_bfs_oracle(eps0, "B3")
+    paths = [v.path for v in oracle.vertices]
+    for src in range(len(P)):
+        for dst in range(len(P)):
+            assert P.route(src, dst) == prefix_cancelling_route(
+                paths, oracle.neighbor, src, dst), (src, dst)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
+def test_based_c_matrix_is_the_cone_matrix(label):
+    # C^s_{v->v0} by the C-matrix row recursion and by transporting the
+    # basis vectors, two independent walks of the same route
+    P = pattern_from_type(label)
+    for vid in range(len(P)):
+        assert P.based_matrices(vid).C == P.cone_matrix(vid), vid
 
 
 def test_budget_error_carries_partial():

@@ -10,6 +10,7 @@ from clusterquake import checks
 from clusterquake import (
     CompletenessError,
     PositivePoint,
+    PreconditionError,
     TropicalPoint,
     locate_cone,
     log_transport,
@@ -223,4 +224,26 @@ def test_separation_formula_matches_transport(A2):
 
 def test_transport_requires_matching_rank(A2):
     with pytest.raises(ValueError):
+        positive_transport(PositivePoint(0, (1.0, 2.0, 3.0)), A2, 1)
+
+
+@pytest.mark.parametrize("bad", [-1, 10, 99])
+def test_chart_outside_the_pattern_is_a_precondition_error(A2, bad):
+    # route() checks both ends: a negative id would not stop at the base,
+    # and one past the end has no vertex
+    assert len(A2) == 10
+    g, L = PositivePoint(0, (1, 2)), TropicalPoint(0, (1, 2))
+    calls = [
+        lambda: tropical_transport(TropicalPoint(bad, (1, 2)), A2, 0),
+        lambda: tropical_transport(L, A2, bad),
+        lambda: positive_transport(PositivePoint(bad, (1, 2)), A2, 0),
+        lambda: positive_transport(g, A2, bad),
+        lambda: log_transport((0.0, 1.0), A2, bad, 0),
+        lambda: log_transport((0.0, 1.0), A2, 0, bad),
+        lambda: locate_cone(TropicalPoint(bad, (1, 2)), A2),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="vertex ids"):
+            call()
+    with pytest.raises(PreconditionError, match="rank"):
         positive_transport(PositivePoint(0, (1.0, 2.0, 3.0)), A2, 1)
