@@ -15,7 +15,8 @@ from . import intmat
 from .errors import BoundaryError, FloatRangeError
 from .horocycle import CentralCharge, conjugacy_residual, glue, \
     horocycle_flow
-from .points import TOL, PositivePoint, TropicalPoint, locate_cone
+from .points import TOL, PositivePoint, TropicalPoint, in_closed_cone, \
+    locate_cone
 
 FAN_SAMPLES = 10_000
 ROUND_TRIPS = 1000
@@ -100,9 +101,9 @@ def fan(pattern, rng):
         L = _tropical(pattern, rng, 10)
         closed = strict = 0
         for cone in cones:
-            lam = intmat.matvec(pattern.cone_matrix_inv(cone.vertex_id), L.x)
-            closed += min(lam) >= -TOL
-            strict += min(lam) > TOL
+            if in_closed_cone(cone.inequalities, L.x):
+                closed += 1
+                strict += min(intmat.matvec(cone.inequalities, L.x)) > TOL
         if not closed:
             locate_cone(L, pattern)  # raises CompletenessError
         if strict > 1:

@@ -33,7 +33,7 @@ from . import earthquake as eq
 from .errors import ClusterQuakeError, PreconditionError
 from .horocycle import conjugacy_residual, horocycle_flow, lift
 from .patterns import enumerate_pattern
-from .points import PositivePoint, TropicalPoint, locate_cone
+from .points import PositivePoint, TropicalPoint, _logs, locate_cone
 from .seeds import ExchangeMatrix, seed_from_type
 
 
@@ -82,8 +82,12 @@ def _coords(raw, flag, pattern):
 
 
 def _g0(args, pattern):
-    return PositivePoint(pattern.base, _coords(args.g0, "--g0", pattern)
-                         if args.g0 else (1,) * pattern.n)
+    """--g0 as a base-chart point; one beyond or below the float range is
+    reported here, under its own name, by every command that takes it."""
+    g0 = PositivePoint(pattern.base, _coords(args.g0, "--g0", pattern)
+                       if args.g0 else (1,) * pattern.n)
+    _logs(g0.X, "g0")
+    return g0
 
 
 def _L(args, pattern):

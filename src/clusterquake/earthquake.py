@@ -96,26 +96,49 @@ def quake_log(P: ExchangePattern, log_g0, L: TropicalPoint):
     return log_transport(log_ev, P, v, P.base), v
 
 
+def _log_ratios(X, X0):
+    """log(X_i / X0_i) as floats, or FloatRangeError when a coordinate or
+    a ratio is beyond or below the float range."""
+    try:
+        x = tuple(math.log(float(a) / float(b)) for a, b in zip(X, X0))
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise FloatRangeError("g or g0 is beyond the float range") from None
+    except (ValueError, ZeroDivisionError):  # or one that rounds to 0.0
+        raise FloatRangeError("g or g0 is below the float range") from None
+    if not all(map(math.isfinite, x)):  # a float chart coordinate at inf
+        raise FloatRangeError("g or g0 is beyond the float range")
+    return x
+
+
+def _pos_step(X, eps, k):
+    """_steps.pos_mutation, with a float leaving its range raised as
+    FloatRangeError."""
+    try:
+        return _steps.pos_mutation(X, eps, k)
+    except OverflowError:
+        raise FloatRangeError("g or g0 is beyond the float range") from None
+    except ZeroDivisionError:
+        raise FloatRangeError("g or g0 is below the float range") from None
+
+
 def inverse_quake(P: ExchangePattern, g0: PositivePoint,
                   g: PositivePoint) -> TropicalPoint:
     """The tropical point L with quake(P, g0, L) = g (finite type only).
 
-    Charts are tried at the cone representatives only: a relabeled
-    member's chart permutes the same coordinates.
+    Charts are tried at the cone representatives only, in fan order: a
+    relabeled member's chart permutes the same coordinates.  g and g0
+    are moved to the base chart once; each cone's pair of coordinates is
+    then one mutation of its parent cone's pair, which was tried before.
     """
+    pairs = {P.base: (P.walk(g.X, g.chart, P.base, _pos_step),
+                      P.walk(g0.X, g0.chart, P.base, _pos_step))}
     for cone in P.fan():
         v = cone.vertex_id
-        gv = positive_transport(g, P, v)
-        g0v = positive_transport(g0, P, v)
-        try:
-            x = tuple(math.log(float(a) / float(b))
-                      for a, b in zip(gv.X, g0v.X))
-        except OverflowError:  # an int or Fraction beyond the float range
-            raise FloatRangeError("g or g0 is beyond the float range") \
-                from None
-        except (ValueError, ZeroDivisionError):  # or one that rounds to 0.0
-            raise FloatRangeError("g or g0 is below the float range") \
-                from None
+        if cone.parent is not None:
+            w, k = cone.parent
+            eps = P.vertex(w).eps.entries
+            pairs[v] = tuple(_pos_step(X, eps, k) for X in pairs[w])
+        x = _log_ratios(*pairs[v])
         if all(c >= -TOL for c in x):
             return tropical_transport(TropicalPoint(v, x), P, P.base)
     raise HomeomorphismError(

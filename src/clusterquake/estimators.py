@@ -104,7 +104,7 @@ def _cone_table(P: ExchangePattern, log_g0):
         table.append(_Cone(
             v.id,
             np.array(P.cone_matrix(v.id), dtype=float),
-            np.array(P.cone_matrix_inv(v.id), dtype=float),
+            np.array(cone.inequalities, dtype=float),
             to_chart,
             _Separation(based.C, P.eps0.entries, based.Fs),
             to_chart(log_g0[None, :])[0]))

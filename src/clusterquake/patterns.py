@@ -119,6 +119,8 @@ class Cone:
     vertex_id: int
     generators: tuple  # columns of C^s_{v->v0}
     members: tuple  # all vertex ids sharing this cone
+    inequalities: tuple  # rows of C^{-s}_{v0->v}: >= 0 exactly on the cone
+    parent: tuple | None  # (parent cone's vertex id, direction); None at base
 
 
 class BasedMatrices(NamedTuple):
@@ -357,21 +359,39 @@ class ExchangePattern:
     # -- fan -----------------------------------------------------------------
 
     def fan(self):
-        """Maximal cones, deduplicated across relabeled vertices.
+        """Maximal cones, deduplicated across relabeled vertices, in
+        vertex-id order of their representatives.
 
         The vertices of one cluster share its cone, and distinct clusters
         of a finite type have distinct cones; the generators are
-        transported once per cone, for its lowest vertex id."""
+        transported once per cone, for its lowest vertex id.  The cones
+        form a tree: a representative's BFS parent is an earlier
+        representative, reached by a mutation edge, since a relabeled
+        seed mutates into the same clusters as its cluster's smallest
+        member and the BFS pops that member first.  So one pass in fan
+        order can carry a point from each cone's parent to the cone by
+        one mutation."""
         if self._fan is None:
             start = time.process_time()
             groups = {}
             for vid, (c, _) in enumerate(self._labels):
                 groups.setdefault(c, []).append(vid)
             cones = []
+            reps = set()
             for members in groups.values():
                 rep = members[0]
+                parent = self._parents[rep]
+                if parent is not None:
+                    pid, edge = parent
+                    if edge[0] != "mu" or pid not in reps:
+                        raise InternalConsistencyError(
+                            f"cone {rep} is reached by {edge} from vertex "
+                            f"{pid}, not by a mutation from an earlier cone")
+                    parent = (pid, edge[1])
+                reps.add(rep)
                 cones.append(Cone(rep, intmat.transpose(self.cone_matrix(rep)),
-                                  tuple(members)))
+                                  tuple(members), self.cone_matrix_inv(rep),
+                                  parent))
             self._fan = tuple(cones)
             self._fan_s = time.process_time() - start
         return self._fan

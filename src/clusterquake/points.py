@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from . import _steps, intmat
@@ -104,6 +105,17 @@ def scale(L: TropicalPoint, t) -> TropicalPoint:
     return TropicalPoint(L.chart, tuple(v * t for v in L.x))
 
 
+def in_closed_cone(inequalities, x0):
+    """Whether every row r of a cone's inequalities has r.x0 >= -TOL.
+
+    Rows are tried in order and the test stops at the first that fails;
+    each sum runs left to right, as intmat.matvec takes it."""
+    for row in inequalities:
+        if not sum(map(mul, row, x0)) >= -TOL:
+            return False
+    return True
+
+
 def locate_cone(L: TropicalPoint, P: ExchangePattern) -> LocatedCone:
     """Smallest vertex id whose closed cone contains L (within TOL), with
     L's coordinates in that vertex's chart.
@@ -111,14 +123,14 @@ def locate_cone(L: TropicalPoint, P: ExchangePattern) -> LocatedCone:
     Membership is tested in base-chart coordinates: L is in the cone of v
     iff C^s_{v->v0}^{-1} x^(v0)(L) is componentwise non-negative, and that
     vector is exactly x^(v)(L).  Exact for int/Fraction coordinates.
-    Only cone representatives are scanned: a relabeled member of a cone
-    has a larger id and passes the same test.
+    Only cone representatives are scanned, in fan order: a relabeled
+    member of a cone has a larger id and passes the same test.
     """
     x0 = tropical_transport(L, P, P.base).x
     for cone in P.fan():
-        lam = intmat.matvec(P.cone_matrix_inv(cone.vertex_id), x0)
-        if all(c >= -TOL for c in lam):
+        if in_closed_cone(cone.inequalities, x0):
             v = cone.vertex_id
+            lam = intmat.matvec(cone.inequalities, x0)
             return LocatedCone(v, tuple(abs(c) <= TOL for c in lam),
                                tropical_transport(L, P, v).x)
     raise CompletenessError(

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,10 +19,16 @@ from clusterquake import (
     inverse_quake,
     limit_L,
     limit_g,
+    positive_transport,
     quake,
     quake_multiplier,
+    tropical_transport,
     u_coords,
 )
+from clusterquake.points import TOL
+
+ENUMERATE_TYPES = ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3",
+                   "A4", "B4", "C4", "D4", "F4"]
 
 
 @lru_cache(maxsize=None)
@@ -277,3 +284,65 @@ def test_cluster_reduce_preconditions():
     outside = TropicalPoint(0, (1.0, -4.0, -2.0))
     with pytest.raises(PreconditionError):
         cluster_reduce(P, 0, [0], g0, outside)
+
+
+def inverse_scan_oracle(P, g0, g):
+    """The scan inverse_quake replaced: g and g0 carried to every cone
+    representative by their own routes."""
+    for cone in P.fan():
+        v = cone.vertex_id
+        gv, g0v = positive_transport(g, P, v), positive_transport(g0, P, v)
+        x = tuple(math.log(float(a) / float(b)) for a, b in zip(gv.X, g0v.X))
+        if all(c >= -TOL for c in x):
+            return tropical_transport(TropicalPoint(v, x), P, P.base)
+    raise HomeomorphismError("no chart")
+
+
+def inverse_cases(P, rng, count):
+    for _ in range(count):
+        g0 = PositivePoint(0, tuple(math.exp(rng.uniform(-2, 2))
+                                    for _ in range(P.n)))
+        L = TropicalPoint(0, tuple(rng.uniform(-5, 5) for _ in range(P.n)))
+        yield g0, quake(P, g0, L).g
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_inverse_tree_pass_is_bit_identical_from_the_base(label):
+    # from the base chart both take the same mutations in the same order
+    P = pattern(label)
+    rng = random.Random(label)
+    for g0, g in inverse_cases(P, rng, 25):
+        assert inverse_quake(P, g0, g) == inverse_scan_oracle(P, g0, g)
+    g0 = PositivePoint(0, tuple(Fraction(i + 2, 3) for i in range(P.n)))
+    g = quake_multiplier(P, g0, len(P) - 1, (Fraction(1, 2),) * P.n)
+    assert inverse_quake(P, g0, g) == inverse_scan_oracle(P, g0, g)
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_inverse_from_other_charts_stays_within_rounding(label):
+    # the route from another chart now runs through the base, so the
+    # floats may round differently: within 1e-14 of max(1, |L|)
+    P = pattern(label)
+    rng = random.Random(label)
+    for g0, g in inverse_cases(P, rng, 25):
+        g0 = positive_transport(g0, P, rng.randrange(len(P)))
+        g = positive_transport(g, P, rng.randrange(len(P)))
+        got, want = inverse_quake(P, g0, g), inverse_scan_oracle(P, g0, g)
+        assert got.chart == want.chart
+        bound = 1e-14 * max(1.0, max(map(abs, want.x)))
+        assert max(abs(a - b) for a, b in zip(got.x, want.x)) <= bound
+
+
+@pytest.mark.parametrize("label, g, why", [
+    ("A2", (1.0, 1e-308), "beyond"),
+    ("G2", (1e-300, 1.0), "below"),
+    ("B3", (1e-300, 1.0, 1.0), "below"),
+    ("F4", (1e-300, 1.0, 1.0, 1.0), "below"),
+])
+def test_inverse_past_float_range_in_a_chart_is_a_typed_error(label, g, why):
+    # g is a float point, but one of the charts tried holds a coordinate
+    # that overflows or rounds to 0.0
+    P = pattern(label)
+    with pytest.raises(FloatRangeError,
+                       match=f"g or g0 is {why} the float range"):
+        inverse_quake(P, ones(P), PositivePoint(0, g))

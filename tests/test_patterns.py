@@ -631,3 +631,65 @@ def test_vertices_are_built_on_first_read():
     assert 0 < P.stats["vertex_cache"] < len(P)
     assert P.vertices[5] is v
     assert P.stats["vertex_cache"] == len(P)
+
+
+def fan_tree_holds(P):
+    """Every cone but the base's is one mutation of an earlier cone: its
+    parent is an earlier representative, the mutation edge leads from
+    it to the cone, and the route from the base runs through it; and
+    every cone's inequalities are its C^- rows."""
+    earlier = set()
+    for cone in P.fan():
+        v = cone.vertex_id
+        if cone.inequalities != P.cone_matrix_inv(v):
+            return False
+        if cone.parent is None:
+            if v != P.base:
+                return False
+        else:
+            w, k = cone.parent
+            if (w not in earlier or P.mut_edges.get((w, k)) != v
+                    or P.route(P.base, v) != P.route(P.base, w)
+                    + [(w, ("mu", k))]):
+                return False
+        earlier.add(v)
+    return True
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_fan_is_a_tree_of_mutations(label):
+    assert fan_tree_holds(pattern_from_type(label))
+
+
+@pytest.mark.parametrize("label", ["D4", "F4"])
+@pytest.mark.parametrize("cap", [1, 7, 50, 333])
+def test_partial_fan_is_a_tree_of_mutations(label, cap):
+    with pytest.raises(PatternBudgetError) as err:
+        pattern_from_type(label, cap=cap)
+    partial = err.value.partial
+    assert len(partial.fan()) >= 1 and fan_tree_holds(partial)
+
+
+def test_broken_cone_parent_fails_the_tree_property():
+    P = pattern_from_type("B3")
+    fan = list(P.fan())
+    w, k = fan[5].parent
+    wrong = next(j for j in range(P.n) if j != k)
+    fan[5] = dataclasses.replace(fan[5], parent=(w, wrong))
+    P._fan = tuple(fan)
+    assert not fan_tree_holds(P)
+
+
+def test_fan_rejects_a_cone_reached_from_no_earlier_cone():
+    # the BFS parent of a representative moved to a relabeled member of
+    # its parent's cluster, or reached by a relabel edge
+    P = pattern_from_type("B3")
+    rep = P.fan()[5]
+    w, k = rep.parent
+    member = next(m for c in P.fan() if c.vertex_id == w
+                  for m in c.members if m != w)
+    for parent in ((member, ("mu", k)), (w, ("perm", (1, 0, 2)))):
+        Q = pattern_from_type("B3")
+        Q._parents[rep.vertex_id] = parent
+        with pytest.raises(InternalConsistencyError, match="earlier cone"):
+            Q.fan()

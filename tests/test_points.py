@@ -1,12 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import clusterquake as cq
-from clusterquake import checks
+from clusterquake import checks, intmat, points
 from clusterquake import (
     CompletenessError,
     PositivePoint,
@@ -19,10 +20,14 @@ from clusterquake import (
     separation_eval,
     tropical_transport,
 )
+from clusterquake.points import TOL
 from clusterquake.seeds import Permutation
 
 ENUMERATE_TYPES = ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3",
                    "A4", "B4", "C4", "D4", "F4"]
+
+
+_pattern = lru_cache(maxsize=None)(cq.pattern_from_type)
 
 
 @pytest.fixture(scope="module")
@@ -247,3 +252,87 @@ def test_chart_outside_the_pattern_is_a_precondition_error(A2, bad):
             call()
     with pytest.raises(PreconditionError, match="rank"):
         positive_transport(PositivePoint(0, (1.0, 2.0, 3.0)), A2, 1)
+
+
+def locate_scan_oracle(L, P):
+    """The full scan locate_cone replaced: one C^- product per cone."""
+    x0 = tropical_transport(L, P, P.base).x
+    for cone in P.fan():
+        v = cone.vertex_id
+        lam = intmat.matvec(P.cone_matrix_inv(v), x0)
+        if all(c >= -TOL for c in lam):
+            return (v, tuple(abs(c) <= TOL for c in lam),
+                    tropical_transport(L, P, v).x)
+    raise CompletenessError(f"no cone contains {x0}")
+
+
+def oracle_points(P, rng):
+    """Points in random charts: floats, ints, Fractions, integer mixes of
+    a cone's generators (walls and faces included), and generators moved
+    by +-TOL/2 and +-2 TOL."""
+    n = P.n
+    out = []
+    for _ in range(10):
+        chart = rng.randrange(len(P))
+        out.append(TropicalPoint(chart, [rng.uniform(-5, 5)
+                                         for _ in range(n)]))
+        out.append(TropicalPoint(chart, [rng.randint(-4, 4)
+                                         for _ in range(n)]))
+        out.append(TropicalPoint(chart, [Fraction(rng.randint(-9, 9),
+                                                  rng.randint(1, 9))
+                                         for _ in range(n)]))
+    for cone in rng.sample(P.fan(), min(10, len(P.fan()))):
+        gens = cone.generators
+        weights = [rng.randint(0, 2) for _ in gens]
+        out.append(TropicalPoint(0, [sum(w * g[i] for w, g in
+                                         zip(weights, gens))
+                                     for i in range(n)]))
+        g = rng.choice(gens)
+        for shift in (TOL / 2, -TOL / 2, 2 * TOL, -2 * TOL):
+            i = rng.randrange(n)
+            out.append(TropicalPoint(0, [c + shift * (j == i)
+                                         for j, c in enumerate(g)]))
+    return out
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_early_exit_locate_matches_full_scan(label):
+    P = cq.pattern_from_type(label)
+    for L in oracle_points(P, random.Random(label)):
+        assert tuple(locate_cone(L, P)) == locate_scan_oracle(L, P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ENUMERATE_TYPES), st.integers(-300, 300),
+       st.lists(st.floats(-1, 1), min_size=4, max_size=4))
+def test_early_exit_locate_matches_full_scan_at_any_magnitude(label, e, x):
+    P = _pattern(label)
+    L = TropicalPoint(0, [10.0 ** e * c for c in x[:P.n]])
+    assert tuple(locate_cone(L, P)) == locate_scan_oracle(L, P)
+
+
+def test_in_closed_cone_stops_at_the_first_failing_row():
+    rows = ((1, 0), "never read")
+    assert not points.in_closed_cone(rows, (-2 * TOL, 5))
+    assert points.in_closed_cone(((1, 0), (0, 1)), (-TOL / 2, 0))
+
+
+def test_fan_suite_counts_match_full_scan(monkeypatch):
+    # closed and strict counts of the early-exit test against the full
+    # product, on the suite's own draws
+    P = cq.pattern_from_type("B3")
+    rng = random.Random(3)
+    for _ in range(300):
+        x = checks._tropical(P, rng, 10).x
+        for cone in P.fan():
+            lam = intmat.matvec(P.cone_matrix_inv(cone.vertex_id), x)
+            assert points.in_closed_cone(cone.inequalities, x) \
+                == (min(lam) >= -TOL)
+    monkeypatch.setattr(checks, "FAN_SAMPLES", 200)
+    rng, want = random.Random(5), random.Random(5)
+    [check] = checks.fan(P, rng)
+    for _ in range(200):
+        checks._tropical(P, want, 10)
+    assert check == checks.Check(
+        "fan", True, f"cones={len(P.fan())} complete+disjoint on 200 samples")
+    assert rng.getstate() == want.getstate()
