@@ -6,109 +6,73 @@ common estimator protocol (fit / transform / inverse_transform /
 get_params / set_params) without depending on scikit-learn, so it can
 be dropped into pipelines that only rely on duck typing.
 
-The transformer evaluates whole blocks of rows in numpy, on a table of
-per-cone closed forms built once by fit().  Inside the cone of a chart v
-the tropical coordinate change is linear (the integer cone matrix), and
-the positive coordinate change is the separation formula
-X^(w)_i = prod_j X^(v)_j^{C_ij} * prod_j F_j(X^(v))^{eps_ij} of
-Fomin-Zelevinsky (Cluster algebras IV), evaluated in log space with a
-log-sum-exp over the F-polynomial terms, so no coordinate overflows.
-Each method passes once over the fan's cones, in vertex-id order, and
-keeps only the rows that no earlier cone took.  The scalar functions
-(locate_cone, quake, quake_log, inverse_quake) are the reference the
-tests compare this path against.
+The transformer evaluates whole blocks of rows in numpy, on the fan
+tree: each cone's chart is one mutation of its parent cone's chart (see
+ExchangePattern.fan), so a chart's log-coordinates are the parent's
+pushed through one log-space mutation step, applied to all rows at once
+and to all cones of one tree level at once.  fit() reads the tree off
+the fan and carries log g0 down it.  A row is located by one product
+with the stacked inequalities of every cone, the first cone whose
+coordinates are all >= -TOL taking it, as in locate_cone.  transform
+then walks each row from its cone up to the base, one level per step;
+inverse_transform walks the rows down from the base and stops at the
+level where every row has found its chart.  Rows run along the last
+axis of every array, (cones, n, rows), so that numpy's inner loops are
+long.  Blocks are cut into chunks so that no intermediate array holds
+more than _CHUNK floats.  The scalar functions (locate_cone, quake,
+quake_log, inverse_quake) are the reference the tests compare this path
+against.
 """
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import CompletenessError, CoordinateError, HomeomorphismError
-from .patterns import ExchangePattern, enumerate_pattern, pattern_from_type
+from .errors import (
+    CompletenessError,
+    CoordinateError,
+    HomeomorphismError,
+    InternalConsistencyError,
+    PreconditionError,
+)
+from .patterns import enumerate_pattern, pattern_from_type
 from .points import TOL, PositivePoint
 from .seeds import ExchangeMatrix
 
+# Largest number of floats (cones x rank x rows) an intermediate array
+# may hold; a block is processed in chunks of rows that keep under it.
+_CHUNK = 2 ** 20
+
 
 def _mul(M, X):
-    """Rows of M x for the rows x of X, each sum taken left to right as
+    """M x for the columns x of X, each sum taken left to right as
     intmat.matvec takes it, so that cone tests agree with locate_cone to
-    the last bit."""
-    out = X[:, :1] * M[:, 0]
-    for j in range(1, M.shape[1]):
-        out = out + X[:, j:j + 1] * M[:, j]
+    the last bit.  M has a trailing axis of length 1 (one matrix for all
+    columns) or of X's width (one matrix per column)."""
+    out = M[:, 0] * X[0]
+    for j in range(1, len(X)):
+        out = out + M[:, j] * X[j]
     return out
 
 
-def _tropical_coords(cone, rows):
-    """x^(v) of base-chart tropical rows: >= 0 exactly in v's cone."""
-    return _mul(cone.M_inv, rows)
+def _parts(e):
+    """The positive and negative parts of e, stacked."""
+    return np.stack([np.maximum(e, 0), np.minimum(e, 0)])
 
 
-def _inverse_coords(cone, rows):
-    """log X^(v)(g) - log X^(v)(g0) of base-chart log rows of g: >= 0
-    exactly where quake(g0, .) maps v's cone (the tropical coordinates
-    at v of the inverse image)."""
-    return cone.to_chart(rows) - cone.log_g0
-
-
-class _Separation:
-    """y -> A y + B log F(y) on rows of log-coordinates: the separation
-    formula between two charts, in log space.
-
-    The terms of all F_j are stacked: term t has exponent row E[t] and
-    log-coefficient logc[t], and F_j's terms start at starts[j].
-    """
-
-    def __init__(self, A, B, Fs):
-        exps, logc, starts = [], [], []
-        for f in Fs:
-            starts.append(len(exps))
-            for exp, coef in f.terms.items():
-                exps.append(exp)
-                logc.append(math.log(coef))
-        self.At = np.array(A, dtype=float).T
-        self.Bt = np.array(B, dtype=float).T
-        self.Et = np.array(exps, dtype=float).T
-        self.logc = np.array(logc)
-        self.starts = np.array(starts)
-        self.owner = np.repeat(np.arange(len(Fs)),
-                               np.diff(starts + [len(exps)]))
-
-    def __call__(self, Y):
-        Z = Y @ self.Et + self.logc
-        top = np.maximum.reduceat(Z, self.starts, axis=1)
-        log_f = top + np.log(np.add.reduceat(
-            np.exp(Z - top[:, self.owner]), self.starts, axis=1))
-        return Y @ self.At + log_f @ self.Bt
-
-
-class _Cone(NamedTuple):
-    vertex: int  # the cone's representative, its smallest member
-    M: np.ndarray  # cone matrix C^s_{v->v0}: chart-v to base tropical
-    M_inv: np.ndarray  # base to chart-v tropical coordinates
-    to_chart: _Separation  # base to chart-v log-coordinates
-    to_base: _Separation  # chart-v to base log-coordinates
-    log_g0: np.ndarray  # log X^(v)(g0)
-
-
-def _cone_table(P: ExchangePattern, log_g0):
-    """One _Cone per cone of P.fan(), in vertex-id order."""
-    table = []
-    for cone in P.fan():
-        v = P.vertex(cone.vertex_id)
-        based = P.based_matrices(v.id)
-        to_chart = _Separation(v.C, v.eps.entries, v.Fs)
-        table.append(_Cone(
-            v.id,
-            np.array(P.cone_matrix(v.id), dtype=float),
-            np.array(cone.inequalities, dtype=float),
-            to_chart,
-            _Separation(based.C, P.eps0.entries, based.Fs),
-            to_chart(log_g0[None, :])[0]))
-    return table
+def _log_mutation(U, at, parts):
+    """_steps.log_mutation of each column of U, in numpy: U[at] is the
+    coordinate u_k of the direction k, and parts are the _parts of
+    column k of eps, each broadcast against U."""
+    ep, em = parts
+    uk = U[at]
+    # softplus(t) = max(t, 0) + tail, as _steps._softplus takes it, once
+    # per u_k for both signs; np.logaddexp(0, t) is several times slower
+    tail = np.log1p(np.exp(-np.abs(uk)))
+    out = U - ep * (np.maximum(-uk, 0) + tail) - em * (np.maximum(uk, 0)
+                                                        + tail)
+    out[at] = -uk
+    return out
 
 
 class EarthquakeTransformer:
@@ -144,20 +108,56 @@ class EarthquakeTransformer:
 
     def fit(self, X=None, y=None):
         if isinstance(self.type_or_matrix, ExchangeMatrix):
-            self.pattern_ = enumerate_pattern(self.type_or_matrix,
-                                              cap=self.cap)
+            P = enumerate_pattern(self.type_or_matrix, cap=self.cap)
         else:
-            self.pattern_ = pattern_from_type(str(self.type_or_matrix),
-                                              cap=self.cap)
-        self.n_features_ = self.pattern_.n
-        coords = self.g0 if self.g0 is not None else (1,) * self.n_features_
-        if len(coords) != self.n_features_:
-            raise ValueError(
-                f"g0 has {len(coords)} coordinates, seed has rank "
-                f"{self.n_features_}")
-        self.g0_ = PositivePoint(self.pattern_.base, tuple(coords))
-        self._cones = _cone_table(
-            self.pattern_, np.log(np.array(self.g0_.X, dtype=float)))
+            P = pattern_from_type(str(self.type_or_matrix), cap=self.cap)
+        self.pattern_ = P
+        n = self.n_features_ = P.n
+        coords = self.g0 if self.g0 is not None else (1,) * n
+        if len(coords) != n:
+            raise PreconditionError(
+                f"g0 has {len(coords)} coordinates, seed has rank {n}")
+        self.g0_ = PositivePoint(P.base, tuple(coords))
+
+        # the fan tree, in fan order: cone i is mutation k[i] of cone
+        # parent[i], with column k[i] of eps at the parent going down and
+        # at cone i going up, split into positive and negative parts
+        fan = P.fan()
+        position = {cone.vertex_id: i for i, cone in enumerate(fan)}
+        m = len(fan)
+        self._parent, self._k = np.zeros(m, int), np.zeros(m, int)
+        self._depth = depth = np.zeros(m, int)
+        down, up = np.zeros((m, n)), np.zeros((m, n))
+        for i, cone in enumerate(fan[1:], 1):
+            w, k = cone.parent
+            p = self._parent[i] = position[w]
+            self._k[i], depth[i] = k, depth[p] + 1
+            down[i] = [row[k] for row in P.vertex(w).eps.entries]
+            up[i] = [row[k] for row in P.vertex(cone.vertex_id).eps.entries]
+        if (np.diff(depth) < 0).any():
+            raise InternalConsistencyError(
+                "fan order is not breadth-first in the fan tree")
+        self._up = _parts(up.T)
+        # per level below the base: its cones, the slots of their parents
+        # among the level above, and their steps down
+        self._levels = []
+        above = np.zeros(1, int)
+        for d in range(1, depth.max(initial=0) + 1):
+            cones = np.flatnonzero(depth == d)
+            self._levels.append((
+                cones, np.searchsorted(above, self._parent[cones]),
+                (np.arange(len(cones))[:, None], self._k[cones, None]),
+                _parts(down[cones, :, None])))
+            above = cones
+        self._ids = np.array([cone.vertex_id for cone in fan])
+        self._ineq = np.array([row for cone in fan for row in
+                               cone.inequalities], dtype=float)[:, :, None]
+        self._cmat = np.array([P.cone_matrix(cone.vertex_id) for cone in fan],
+                              dtype=float).transpose(1, 2, 0)
+        self._log_g0 = np.empty((m, n))
+        log_g0 = np.log(np.array(self.g0_.X, dtype=float))
+        for cones, V in self._charts(log_g0[:, None]):
+            self._log_g0[cones] = V[:, :, 0]
         return self
 
     def _check_fitted(self):
@@ -167,62 +167,101 @@ class EarthquakeTransformer:
 
     def _rows(self, X):
         self._check_fitted()
-        arr = np.asarray(X, dtype=float)
+        try:
+            arr = np.asarray(X)
+            if arr.dtype.kind != "c":
+                arr = arr.astype(float, copy=False)
+        except (TypeError, ValueError) as exc:  # ragged, or not numbers
+            raise CoordinateError(
+                f"rows must form a block of real numbers: {exc}") from None
+        if arr.dtype.kind == "c":
+            raise CoordinateError("rows must hold real numbers, got complex")
         if arr.ndim == 1:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[1] != self.n_features_:
-            raise ValueError(f"expected shape (*, {self.n_features_}), "
-                             f"got {arr.shape}")
+            raise CoordinateError(f"expected shape (*, {self.n_features_}), "
+                                  f"got {arr.shape}")
         if not np.isfinite(arr).all():
             raise CoordinateError("rows must hold finite numbers only")
         return arr
 
-    def _by_cone(self, arr, chart_coords, error):
-        """Yield (cone, row indices, chart coordinates) assigning each row
-        to the first cone whose chart_coords(cone, rows) are >= -TOL.
+    def _by_chunk(self, X, method):
+        """method applied to the transposed rows of X a chunk at a time,
+        its results joined."""
+        arr = self._rows(X)
+        step = max(1, _CHUNK // len(self._ineq))
+        return np.concatenate([method(arr[i:i + step].T)
+                               for i in range(0, max(len(arr), 1), step)])
 
-        Only rows that no earlier cone took are passed on, so no array
-        spans both rows and cones.
-        """
-        todo = np.arange(len(arr))
-        for cone in self._cones:
-            if not todo.size:
-                return
-            coords = chart_coords(cone, arr[todo])
+    def _locate(self, X):
+        """Fan positions of the first cone containing each column of X,
+        and the columns' coordinates in those cones' charts."""
+        rows = np.arange(X.shape[1])
+        # a row near the float range can overflow in the inequalities of
+        # a cone; inf and nan then decide the test as in locate_cone
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = _mul(self._ineq, X).reshape(len(self._ids), *X.shape)
+        hit = (lam >= -TOL).all(axis=1)
+        pos = hit.argmax(axis=0)
+        missed = ~hit[pos, rows]
+        if missed.any():
+            raise CompletenessError(
+                f"no cone of pattern {self.pattern_.type_tag!r} takes row "
+                f"{X[:, missed.argmax()].tolist()}")
+        return pos, lam[pos, :, rows].T
+
+    def _charts(self, U):
+        """Yield (fan positions, log-coordinates in their charts) for the
+        base-chart log-coordinates in the columns of U, one tree level at
+        a time from the base down; the second array is (cones, n, cols)."""
+        V = U[None]
+        yield np.zeros(1, int), V
+        for cones, slots, at, parts in self._levels:
+            V = _log_mutation(V[slots], at, parts)
+            yield cones, V
+
+    def _transform(self, X):
+        pos, U = self._locate(X)
+        U += self._log_g0[pos].T
+        depth = self._depth[pos]
+        for d in range(depth.max(initial=0), 0, -1):
+            rows = np.flatnonzero(depth >= d)
+            c = pos[rows]
+            U[:, rows] = _log_mutation(
+                U[:, rows], (self._k[c], np.arange(len(rows))),
+                self._up[:, :, c])
+            pos[rows] = self._parent[c]
+        return U.T
+
+    def _inverse(self, X):
+        pos = np.full(X.shape[1], -1)
+        x = np.empty_like(X)
+        for cones, V in self._charts(X):
+            coords = V - self._log_g0[cones, :, None]
             hit = (coords >= -TOL).all(axis=1)
-            if hit.any():
-                yield cone, todo[hit], coords[hit]
-                todo = todo[~hit]
-        if todo.size:
-            raise error(f"no cone of pattern {self.pattern_.type_tag!r} "
-                        f"takes row {arr[todo[0]].tolist()}")
+            rows = np.flatnonzero(hit.any(axis=0) & (pos < 0))
+            first = hit[:, rows].argmax(axis=0)
+            pos[rows] = cones[first]
+            x[:, rows] = coords[first, :, rows].T
+            if (pos >= 0).all():
+                break
+        else:
+            raise HomeomorphismError(
+                f"no chart of pattern {self.pattern_.type_tag!r} realizes "
+                f"the inverse image of row {X[:, pos.argmin()].tolist()}")
+        return _mul(self._cmat[:, :, pos], x).T
 
     def transform(self, X):
         """Rows of log X(quake(g0, L)) for each tropical point row L."""
-        arr = self._rows(X)
-        out = np.empty_like(arr)
-        for cone, idx, x in self._by_cone(arr, _tropical_coords,
-                                          CompletenessError):
-            out[idx] = cone.to_base(x + cone.log_g0)
-        return out
+        return self._by_chunk(X, self._transform)
 
     def inverse_transform(self, X):
         """Tropical coordinates recovering each row of log-coordinates."""
-        arr = self._rows(X)
-        out = np.empty_like(arr)
-        for cone, idx, x in self._by_cone(arr, _inverse_coords,
-                                          HomeomorphismError):
-            out[idx] = x @ cone.M.T
-        return out
+        return self._by_chunk(X, self._inverse)
 
     def predict(self, X):
         """Id of the fan cone containing each tropical point row."""
-        arr = self._rows(X)
-        out = np.empty(len(arr), dtype=int)
-        for cone, idx, _ in self._by_cone(arr, _tropical_coords,
-                                          CompletenessError):
-            out[idx] = cone.vertex
-        return out
+        return self._by_chunk(X, lambda X: self._ids[self._locate(X)[0]])
 
     def fit_transform(self, X, y=None):
         return self.fit(X, y).transform(X)

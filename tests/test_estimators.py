@@ -6,19 +6,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterquake import (
+    CoordinateError,
     EarthquakeTransformer,
     FloatRangeError,
+    InternalConsistencyError,
     PositivePoint,
+    PreconditionError,
     inverse_quake,
     locate_cone,
     quake,
     quake_log,
     seed_from_type,
 )
-from clusterquake import points
+from clusterquake import estimators, points
+from clusterquake.patterns import ExchangePattern
 from clusterquake.points import TropicalPoint
 
 ORACLE_TYPES = ["A2", "B2", "G2", "A3", "C3", "D4"]
+ENUMERATE_TYPES = ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4",
+                   "C4", "D4", "F4"]
 TOL = 1e-9
 
 
@@ -82,6 +88,45 @@ def test_errors():
         est.transform([[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         EarthquakeTransformer("A2", g0=(1.0,)).fit()
+
+
+@pytest.mark.parametrize("rows", [
+    [["a", "b"]],  # not numbers
+    [[1j, 0.5]],  # complex
+    np.array([[1.0 + 0.5j, 0.5]]),  # complex, as an array
+    [[1.0, 2.0], [3.0]],  # ragged
+    [[1.0, 2.0, 3.0]],  # the wrong width
+])
+@pytest.mark.parametrize("method", ["transform", "inverse_transform",
+                                    "predict"])
+def test_bad_rows_raise_coordinate_error(method, rows):
+    with pytest.raises(CoordinateError):
+        getattr(fitted("A2"), method)(rows)
+
+
+def test_g0_of_the_wrong_length_raises_precondition_error():
+    with pytest.raises(PreconditionError):
+        EarthquakeTransformer("A2", g0=(1.0, 2.0, 3.0)).fit()
+
+
+def test_fit_requires_a_breadth_first_fan(monkeypatch):
+    # move a cone of depth 2 to just after its parent, before a cone of
+    # depth 1: parents still come first, but the order is no longer
+    # breadth-first
+    fan = ExchangePattern.fan
+
+    def shuffled(P):
+        cones = list(fan(P))
+        depth1 = [c.vertex_id for c in cones
+                  if c.parent and c.parent[0] == P.base]
+        x = next(c for c in cones if c.parent and c.parent[0] in depth1[:-1])
+        cones.remove(x)
+        cones.insert(depth1.index(x.parent[0]) + 2, x)
+        return tuple(cones)
+
+    monkeypatch.setattr(ExchangePattern, "fan", shuffled)
+    with pytest.raises(InternalConsistencyError):
+        EarthquakeTransformer("A3").fit()
 
 
 def test_fit_transform_shortcut():
@@ -195,3 +240,47 @@ def test_transform_past_float_range_stays_finite():
         want, _ = quake_log(P, (0.0, 0.0, 0.0), TropicalPoint(0, tuple(row)))
         assert_close(image, want, row)
     assert_close(est.inverse_transform(Y), X, X)
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_transform_on_rays_matches_quake_log(label):
+    # a ray far out has coordinates of order 1 beside huge ones; each
+    # must come out as quake_log gives it
+    est = fitted(label)
+    P = est.pattern_
+    log_g0 = [math.log(x) for x in est.g0_.X]
+    X = np.array([[t * c for c in g] for cone in P.fan()
+                  for g in cone.generators for t in (1.0, 1e3, 1e300)])
+    for row, image in zip(X, est.transform(X)):
+        want, _ = quake_log(P, log_g0, TropicalPoint(P.base, tuple(row)))
+        want = np.array(want)
+        assert (np.abs(image - want)
+                <= 1e-9 * np.maximum(1.0, np.abs(want))).all()
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_batch_path_on_every_type(label, monkeypatch):
+    est = fitted(label)
+    P, g0 = est.pattern_, est.g0_
+    # one interior point per cone: a positive mix of its generators
+    X = np.array([[sum((j + 1) / P.n * g[i]
+                       for j, g in enumerate(cone.generators))
+                   for i in range(P.n)] for cone in P.fan()])
+    cones, Y = est.predict(X), est.transform(X)
+    back = est.inverse_transform(Y)
+    for row, cone, image, got in zip(X, cones, Y, back):
+        assert cone == locate_cone(TropicalPoint(P.base, tuple(row)),
+                                   P).vertex
+        g = PositivePoint(P.base, tuple(math.exp(c) for c in image))
+        assert_close(got, inverse_quake(P, g0, g).x, row)
+
+    empty = np.empty((0, P.n))
+    assert est.transform(empty).shape == (0, P.n)
+    assert est.inverse_transform(empty).shape == (0, P.n)
+    assert est.predict(empty).shape == (0,)
+
+    # one row per chunk
+    monkeypatch.setattr(estimators, "_CHUNK", 1)
+    assert np.array_equal(est.predict(X), cones)
+    assert np.array_equal(est.transform(X), Y)
+    assert np.array_equal(est.inverse_transform(Y), back)
