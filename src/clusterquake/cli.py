@@ -26,6 +26,7 @@ import math
 import os
 import random
 import sys
+import time
 from fractions import Fraction
 
 from . import checks
@@ -251,13 +252,18 @@ def cmd_verify(args):
     pattern = _pattern(args)
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     results = []
+    seconds = {}
     for name in names:
+        start = time.process_time()
         results += checks.SUITES[name](pattern, random.Random(args.seed))
+        seconds[name] = time.process_time() - start
     failed = not all(check.ok for check in results)
     lines = [f"{'PASS' if check.ok else 'FAIL'} {check.name}: {check.detail}"
              for check in results]
     lines.append(f"verify: {'FAIL' if failed else 'PASS'}")
     _emit("\n".join(lines) + "\n", args)
+    if args.stats:
+        print(json.dumps(seconds), file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -348,6 +354,9 @@ def build_parser():
     sub.add_argument("--suite", default="all",
                      help="|".join([*checks.SUITES, "all"]))
     sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--stats", action="store_true",
+                     help="also write each suite's CPU seconds to stderr, "
+                          "as one JSON line")
     sub.set_defaults(func=cmd_verify)
     return parser
 

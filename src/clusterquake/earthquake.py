@@ -89,11 +89,18 @@ def quake_log(P: ExchangePattern, log_g0, L: TropicalPoint):
 
     log_g0 are base-chart log-coordinates of the starting point; returns
     (log-coordinates of the image in the base chart, cone vertex).
+    Raises FloatRangeError when a log-coordinate of the image leaves the
+    float range.
     """
     v, _, xv = locate_cone(L, P)
     log_gv = log_transport(log_g0, P, P.base, v)
     log_ev = tuple(float(a) + b for a, b in zip(xv, log_gv))
-    return log_transport(log_ev, P, v, P.base), v
+    log_g = log_transport(log_ev, P, v, P.base)
+    if not all(map(math.isfinite, log_g)):
+        raise FloatRangeError(
+            f"the log-coordinates of the earthquake image of "
+            f"{list(_floats(L.x, 'L'))} leave the float range")
+    return log_g, v
 
 
 def _log_ratios(X, X0):

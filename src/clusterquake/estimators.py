@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     CompletenessError,
     CoordinateError,
+    FloatRangeError,
     HomeomorphismError,
     InternalConsistencyError,
     PreconditionError,
@@ -231,6 +232,10 @@ class EarthquakeTransformer:
                 U[:, rows], (self._k[c], np.arange(len(rows))),
                 self._up[:, :, c])
             pos[rows] = self._parent[c]
+        if not np.isfinite(U).all():
+            row = X[:, (~np.isfinite(U).all(axis=0)).argmax()]
+            raise FloatRangeError(f"the earthquake image of row "
+                                  f"{row.tolist()} leaves the float range")
         return U.T
 
     def _inverse(self, X):
@@ -246,6 +251,16 @@ class EarthquakeTransformer:
             if (pos >= 0).all():
                 break
         else:
+            # a row whose walk down left the float range missed its chart
+            missed = X[:, pos < 0]
+            finite = np.ones(missed.shape[1], bool)
+            for _, V in self._charts(missed):
+                finite &= np.isfinite(V).all(axis=(0, 1))
+            if not finite.all():
+                raise FloatRangeError(
+                    f"the inverse image of row "
+                    f"{missed[:, finite.argmin()].tolist()} leaves the float "
+                    "range")
             raise HomeomorphismError(
                 f"no chart of pattern {self.pattern_.type_tag!r} realizes "
                 f"the inverse image of row {X[:, pos.argmin()].tolist()}")

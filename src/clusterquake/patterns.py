@@ -3,14 +3,17 @@
 enumerate_pattern performs a breadth-first closure of an initial seed
 under the n matrix mutations and the symmetrizer-preserving
 transpositions, deduplicating labeled seeds by the pair
-(exchange matrix, C-matrix).  Each vertex carries its C-matrix, its
-dual C-matrix C^- and its G-matrix, each from an integer one-step
-recursion, plus its F-polynomials.  These are computed once per
-cluster, along the BFS edge that first reached it; every labeled vertex
-is its cluster's canonical seed with the rows permuted, stored as that
-pair and built into a PatternVertex the first time it is read.  The
-pattern object then answers the derived questions: tropical signs,
-cones and the fan, opposite class, FuGy identity, F*C products.
+(exchange matrix, C-matrix).  The exact work is done once per cluster:
+every labeled vertex is its cluster's canonical seed with the rows
+permuted, stored as that pair and built into a PatternVertex the first
+time it is read.  Each cluster carries its C-matrix, its dual C-matrix
+C^- , its G-matrix and its cone generators, each stepped from its BFS
+parent cluster by an integer one-step recursion.  Its F-polynomials
+are not built with it: the first read of a cluster's F mutates them
+down from the nearest ancestor that has them, and keeps them, so the
+build, the fan and point location build none.  The pattern object then
+answers the derived questions: tropical signs, cones and the fan, the
+based matrices, FuGy identity, F*C products.
 
 Conventions (all 0-based):
   * C-matrix rows are c-vectors; C^s_{v0->v} linearizes the tropical
@@ -24,8 +27,9 @@ Conventions (all 0-based):
     with s the tropical sign of c_k (Fomin-Zelevinsky IV); every cluster
     is checked against the duality C * diag(d) * G^T = diag(d).
   * cone_matrix(v) = C^s_{v->v0}; its columns generate the cone of v in
-    base-chart coordinates and are computed independently of the row
-    recursions by transporting basis vectors along the reversed path.
+    base-chart coordinates.  They step by mutate_generators, column
+    K'_k = -K_k + sum_i [-s * eps_ik]+ K_i with s the sign of row k of
+    Cdual, the tropical mutation of generator k.
   * opposite_cone_matrix(v) = C^{-s}_{v->v0} = diag(d) G^T diag(d)^-1;
     with Cdual it gives the opposite-sign matrices, and opposite(), a
     second enumeration, stays as their oracle.
@@ -83,22 +87,32 @@ def mutate_c_matrix(C, eps: ExchangeMatrix, k: int):
     return tuple(rows)
 
 
+def _mutate_one(M, sign, coefs, k):
+    """M with entry k replaced by -M_k + sum_i [-sign * coefs_i]+ M_i, the
+    others unchanged (coefs_k is 0)."""
+    mk = [-x for x in M[k]]
+    for i, e in enumerate(coefs):
+        coef = max(0, -sign * e)
+        if coef:
+            mk = [x + coef * y for x, y in zip(mk, M[i])]
+    return M[:k] + (tuple(mk),) + M[k + 1:]
+
+
 def mutate_g_matrix(G, C, eps: ExchangeMatrix, k: int):
     """Row recursion for the G-matrix (rows are g-vectors) along mutation
     k, with the tropical sign s of the k-th c-vector in C:
     g'_k = -g_k + sum_i [-s * eps_ki]+ * g_i, the other rows unchanged."""
-    sign = _row_sign(C[k])
-    gk = [-x for x in G[k]]
-    for i, e in enumerate(eps.entries[k]):
-        coef = max(0, -sign * e)
-        if coef:
-            gk = [x + coef * y for x, y in zip(gk, G[i])]
-    return G[:k] + (tuple(gk),) + G[k + 1:]
+    return _mutate_one(G, _row_sign(C[k]), eps.entries[k], k)
 
 
-def _trop_columns(M, eps, k):
-    """trop_mutation applied to each column of M (rows are directions)."""
-    return tuple(zip(*(_steps.trop_mutation(col, eps, k) for col in zip(*M))))
+def mutate_generators(gens, Cdual, eps: ExchangeMatrix, k: int):
+    """Recursion for the cone generators (the columns of C^s_{v->v0})
+    along mutation k, with s the sign of row k of Cdual:
+    K'_k = -K_k + sum_i [-s * eps_ik]+ * K_i, the other columns unchanged.
+    The new generator is the tropical mutation of the chart-v' basis
+    vector e_k, carried to the base chart."""
+    return _mutate_one(gens, _row_sign(Cdual[k]),
+                       [row[k] for row in eps.entries], k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,6 +124,19 @@ class PatternVertex:
     G: intmat.IntMatrix
     Fs: tuple
     path: tuple
+    # (cluster, p) whose F-polynomials, rows permuted by p, are Fs
+    f_source: tuple | None = field(default=None, compare=False, repr=False)
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: ExchangePattern builds its
+        # vertices with Fs unset, and the first read fills it from the
+        # cluster, so that every later read is a plain slot read
+        if name != "Fs":
+            raise AttributeError(name)
+        cluster, p = self.f_source
+        Fs = tuple(map(cluster.f_polynomials().__getitem__, p))
+        object.__setattr__(self, "Fs", Fs)
+        return Fs
 
 
 @dataclass(frozen=True)
@@ -135,9 +162,10 @@ class ExchangePattern:
     Vertex vid is the labeled seed labels[vid] = (cluster id, p), first
     reached by the BFS tree edge parents[vid] = (parent id, edge): row i
     of each of its matrices is row p[i] of the canonical seed
-    clusters[cluster id].  Its PatternVertex is built from there the first
-    time it is read and kept in its slot.  The pattern owns the lists and
-    edge maps it is given."""
+    clusters[cluster id], and its cone generator i is the cluster's
+    generator p[i].  Its PatternVertex is built from there the first time
+    it is read and kept in its slot.  The pattern owns the lists and edge
+    maps it is given."""
 
     def __init__(self, labels, parents, mut_edges, perm_edges, type_tag, cap,
                  clusters, bfs_s=None):
@@ -150,11 +178,11 @@ class ExchangePattern:
         self.type_tag = type_tag
         self.cap = cap
         self._based_cache = {}
-        self._cone_cache = {}
         self._opp_cone_cache = {}
         self._opposite = None
         self._opp_map = {}
         self._fan = None
+        self._members = None
         self._clusters = clusters
         self._bfs_s = bfs_s
         self._fan_s = None
@@ -184,19 +212,22 @@ class ExchangePattern:
 
     def _build(self, vid):
         """The PatternVertex of an empty slot: its cluster's canonical seed
-        with the rows permuted by its label."""
+        with the rows permuted by its label.  Fs is left unset, to be read
+        from the cluster on first access (see PatternVertex)."""
         vid %= len(self._slots)
         c, p = self._labels[vid]
         cl = self._clusters[c]
         e = cl.eps.entries
-        C, Cdual, G, Fs = (tuple(map(m.__getitem__, p))
-                           for m in (cl.C, cl.Cdual, cl.G, cl.Fs))
+        C, Cdual, G = (tuple(map(m.__getitem__, p))
+                       for m in (cl.C, cl.Cdual, cl.G))
         v = self._slots[vid] = PatternVertex(
             id=vid,
             eps=ExchangeMatrix(
                 tuple(tuple(map(e[a].__getitem__, p)) for a in p), cl.eps.d),
-            C=C, Cdual=Cdual, G=G, Fs=Fs,
-            path=tuple(edge for _, edge in self.route(self.base, vid)))
+            C=C, Cdual=Cdual, G=G, Fs=None,
+            path=tuple(edge for _, edge in self.route(self.base, vid)),
+            f_source=(cl, p))
+        object.__delattr__(v, "Fs")
         return v
 
     def vertex(self, vid) -> PatternVertex:
@@ -264,13 +295,16 @@ class ExchangePattern:
         """Sign (+1/-1) of the k-th c-vector at the given vertex."""
         return _row_sign(self.vertex(vid).C[k])
 
+    def _generators(self, vid):
+        """The cone generators of vid (the columns of cone_matrix(vid))."""
+        c, p = self._labels[vid]
+        return tuple(map(self._clusters[c].gens.__getitem__, p))
+
     def cone_matrix(self, vid):
         """C^s_{v->v0}: transport of the chart-v basis vectors to the base
-        chart (columns are the cone generators)."""
-        if vid not in self._cone_cache:
-            self._cone_cache[vid] = self.walk(
-                intmat.identity(self.n), vid, self.base, _trop_columns)
-        return self._cone_cache[vid]
+        chart (columns are the cone generators), read off the generators
+        its cluster carries."""
+        return tuple(zip(*self._generators(vid)))
 
     def cone_matrix_inv(self, vid):
         """C^{-s}_{v0->v}, the inverse of cone_matrix(v): its rows give the
@@ -279,8 +313,18 @@ class ExchangePattern:
 
     def based_matrices(self, vid) -> BasedMatrices:
         """C-, F-, and F-degree matrices of the pattern re-based at vid
-        with target the original base (C^s_{v->v0}, F^{v->v0})."""
-        if vid not in self._based_cache:
+        with target the original base (C^s_{v->v0}, F^{v->v0}).
+
+        Only the first vertex r of a cluster walks the route.  Direction
+        i of another member v is direction sigma[i] = p_r^-1(p[i]) of r,
+        so its matrices are r's with every C column, F exponent and Fmat
+        column i taken from sigma[i]."""
+        based = self._based_cache.get(vid)
+        if based is not None:
+            return based
+        c, p = self._labels[vid]
+        rep = self._cluster_members()[c][0]
+        if rep == vid:
             d = self.d
 
             def step(rows, eps, k):
@@ -292,8 +336,24 @@ class ExchangePattern:
             start = tuple((row, FPolynomial.constant(self.n))
                           for row in intmat.identity(self.n))
             C, Fs = zip(*self.walk(start, vid, self.base, step))
-            self._based_cache[vid] = BasedMatrices(C, Fs, f_matrix(Fs))
-        return self._based_cache[vid]
+            based = BasedMatrices(C, Fs, f_matrix(Fs))
+        else:
+            r = self.based_matrices(rep)
+            where = {x: j for j, x in enumerate(self._labels[rep][1])}
+            sigma = tuple(where[x] for x in p)
+
+            def columns(rows):
+                return tuple(tuple(map(row.__getitem__, sigma))
+                             for row in rows)
+
+            based = BasedMatrices(
+                columns(r.C),
+                tuple(FPolynomial._of(f.nvars, dict(zip(columns(f.terms),
+                                                        f.terms.values())))
+                      for f in r.Fs),
+                columns(r.Fmat))
+        self._based_cache[vid] = based
+        return based
 
     def opposite_cone_matrix(self, vid):
         """C^{-s}_{v->v0}, the cone matrix of the opposite pattern at the
@@ -363,8 +423,9 @@ class ExchangePattern:
         vertex-id order of their representatives.
 
         The vertices of one cluster share its cone, and distinct clusters
-        of a finite type have distinct cones; the generators are
-        transported once per cone, for its lowest vertex id.  The cones
+        of a finite type have distinct cones; a cone's generators and
+        inequalities are its cluster's, in the labeling of its lowest
+        vertex id, and no vertex is built.  The cones
         form a tree: a representative's BFS parent is an earlier
         representative, reached by a mutation edge, since a relabeled
         seed mutates into the same clusters as its cluster's smallest
@@ -373,12 +434,9 @@ class ExchangePattern:
         one mutation."""
         if self._fan is None:
             start = time.process_time()
-            groups = {}
-            for vid, (c, _) in enumerate(self._labels):
-                groups.setdefault(c, []).append(vid)
             cones = []
             reps = set()
-            for members in groups.values():
+            for c, members in self._cluster_members().items():
                 rep = members[0]
                 parent = self._parents[rep]
                 if parent is not None:
@@ -389,16 +447,27 @@ class ExchangePattern:
                             f"{pid}, not by a mutation from an earlier cone")
                     parent = (pid, edge[1])
                 reps.add(rep)
-                cones.append(Cone(rep, intmat.transpose(self.cone_matrix(rep)),
-                                  tuple(members), self.cone_matrix_inv(rep),
-                                  parent))
+                p = self._labels[rep][1]
+                cones.append(Cone(
+                    rep, self._generators(rep), tuple(members),
+                    tuple(map(self._clusters[c].Cdual.__getitem__, p)),
+                    parent))
             self._fan = tuple(cones)
             self._fan_s = time.process_time() - start
         return self._fan
 
+    def _cluster_members(self):
+        """{cluster id: its vertex ids, ascending}, in order of the
+        clusters' lowest vertex ids."""
+        if self._members is None:
+            self._members = {}
+            for vid, (c, _) in enumerate(self._labels):
+                self._members.setdefault(c, []).append(vid)
+        return self._members
+
     def ray(self, vid, k):
         """Base-chart coordinates of the k-th cone generator of vertex vid."""
-        return intmat.column(self.cone_matrix(vid), k)
+        return self._generators(vid)[k]
 
     # -- observability --------------------------------------------------------
 
@@ -407,7 +476,8 @@ class ExchangePattern:
         """Counts, CPU seconds per phase and cache sizes, as a dict.
 
         Builds the fan if it has not been built.  `vertex_cache` counts
-        the vertices built so far."""
+        the vertices built so far, and `f_clusters` the clusters whose
+        F-polynomials are built (the base's from the start)."""
         fan = self.fan()
         return {
             "vertices": len(self),
@@ -418,7 +488,7 @@ class ExchangePattern:
             "bfs_s": self._bfs_s,
             "fan_s": self._fan_s,
             "based_cache": len(self._based_cache),
-            "cone_cache": len(self._cone_cache),
+            "f_clusters": sum(cl.Fs is not None for cl in self._clusters),
             "vertex_cache": len(self._slots) - self._slots.count(None),
         }
 
@@ -480,16 +550,34 @@ def _duality_holds(C, G, d, diag_d):
                  for c_row in C) == diag_d
 
 
-class _Cluster(NamedTuple):
+class _Cluster:
     """Canonical labeled seed of one cluster: the labeling in which the
-    BFS first reached it, with each c-vector's row index."""
+    BFS first reached it, with each c-vector's row index, its cone
+    generators, and origin = (parent cluster, direction) of the BFS edge
+    that reached it (None at the base).  Fs stays None until
+    f_polynomials() builds it."""
 
-    eps: ExchangeMatrix
-    C: intmat.IntMatrix
-    Cdual: intmat.IntMatrix
-    G: intmat.IntMatrix
-    Fs: tuple
-    rows: dict  # c-vector -> row index
+    __slots__ = ("eps", "C", "Cdual", "G", "gens", "origin", "Fs", "rows")
+
+    def __init__(self, eps, C, Cdual, G, gens, origin, Fs=None):
+        self.eps, self.C, self.Cdual, self.G = eps, C, Cdual, G
+        self.gens, self.origin, self.Fs = gens, origin, Fs
+        self.rows = {row: i for i, row in enumerate(C)}  # c-vector -> row
+
+    def f_polynomials(self):
+        """The F-polynomials, built on first read: one mutate_F for each
+        cluster between this one and its nearest ancestor that has them,
+        each kept."""
+        down = []
+        cl = self
+        while cl.Fs is None:
+            down.append(cl)
+            cl = cl.origin[0]
+        Fs = cl.Fs
+        for cl in reversed(down):
+            parent, q = cl.origin
+            Fs = cl.Fs = mutate_F(Fs, parent.C, parent.eps, q)
+        return Fs
 
 
 def _landing_perm(cluster: _Cluster, C):
@@ -513,11 +601,14 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
 
     A labeled seed is stored as (cluster, p): row i of each of its
     matrices is row p[i] of the cluster's canonical seed.  Mutation
-    commutes with relabeling, so the exact mutation of eps, C, C^-, G
-    and F runs once per cluster edge, memoised as (cluster', tau) with
-    row i of the landed seed equal to row tau[i] of the canonical seed of
-    cluster' (clusters are keyed by their set of c-vectors); a labeled
-    step (cluster, p) -> (cluster', tau o p) is then tuple arithmetic.
+    commutes with relabeling, so the exact mutation of eps and C runs
+    once per cluster edge, and that of C^-, G and the cone generators
+    once per new cluster; F is left to the first read (see
+    _Cluster.f_polynomials).  The landing is memoised as (cluster', tau)
+    with row i of the landed seed equal to row tau[i] of the canonical
+    seed of cluster' (clusters are keyed by their set of c-vectors); a
+    labeled step (cluster, p) -> (cluster', tau o p) is then tuple
+    arithmetic.
 
     Raises NotFiniteTypeError at the first exchange matrix that shows the
     class is not of finite type, and PatternBudgetError when the vertex
@@ -551,15 +642,14 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                                type_tag, cap, clusters,
                                bfs_s=time.process_time() - start)
 
-    def new_cluster(eps, C, Cdual, G, Fs):
+    def new_cluster(cluster):
         # a labeled vertex is the cluster's seed with its rows permuted by
         # a d-preserving p, so the identity then holds there as well
-        if not _duality_holds(C, G, d, diag_d):
+        if not _duality_holds(cluster.C, cluster.G, d, diag_d):
             raise InternalConsistencyError(
                 f"cluster {len(clusters)}: C * diag(d) * G^T != diag(d)")
-        cluster_of[frozenset(C)] = len(clusters)
-        clusters.append(_Cluster(eps, C, Cdual, G, Fs,
-                                 {row: i for i, row in enumerate(C)}))
+        cluster_of[frozenset(cluster.C)] = len(clusters)
+        clusters.append(cluster)
         return len(clusters) - 1
 
     def mutate(c, q):
@@ -569,10 +659,11 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         C = mutate_c_matrix(src.C, src.eps, q)
         target = cluster_of.get(frozenset(C))
         if target is None:
-            target = new_cluster(eps, C,
-                                 mutate_c_matrix(src.Cdual, -src.eps, q),
-                                 mutate_g_matrix(src.G, src.C, src.eps, q),
-                                 mutate_F(src.Fs, src.C, src.eps, q))
+            target = new_cluster(_Cluster(
+                eps, C, mutate_c_matrix(src.Cdual, -src.eps, q),
+                mutate_g_matrix(src.G, src.C, src.eps, q),
+                mutate_generators(src.gens, src.Cdual, src.eps, q),
+                (src, q)))
             tau = ident
         else:
             tau = _landing_perm(clusters[target], C)
@@ -603,8 +694,8 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         return vid
 
     ident_m = intmat.identity(n)
-    new_cluster(eps0, ident_m, ident_m, ident_m,
-                tuple(FPolynomial.constant(n) for _ in range(n)))
+    new_cluster(_Cluster(eps0, ident_m, ident_m, ident_m, ident_m, None,
+                         tuple(FPolynomial.constant(n) for _ in range(n))))
     add((0, ident), None)
     while queue:
         vid = queue.popleft()

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import clusterquake
-from clusterquake import TropicalPoint, earthquake
+from clusterquake import TropicalPoint, checks, earthquake
 from clusterquake.cli import main
 
 SRC = os.path.dirname(os.path.dirname(clusterquake.__file__))
@@ -299,6 +299,22 @@ def test_enumerate_stats_go_to_stderr(capsys):
     assert stats["vertices"] == 40 and stats["cones"] == 20
     assert stats["clusters"] == 20
     assert stats["vertex_cache"] == 40  # enumerate prints every vertex
+    assert stats["f_clusters"] == 20  # and so reads every cluster's F
+    assert "cone_cache" not in stats
+
+
+@pytest.mark.parametrize("suite", ["matrices", "all"])
+def test_verify_stats_go_to_stderr(capsys, suite):
+    argv = ["verify", "--type", "B2", "--suite", suite]
+    _, plain, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--stats")
+    assert code == 0 and out == plain
+    lines = err.splitlines()
+    assert len(lines) == 1
+    seconds = json.loads(lines[0])
+    assert list(seconds) == (list(checks.SUITES) if suite == "all"
+                             else [suite])
+    assert all(s >= 0 for s in seconds.values())
 
 
 def test_cli_import_leaves_numpy_out():

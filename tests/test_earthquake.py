@@ -21,6 +21,7 @@ from clusterquake import (
     limit_g,
     positive_transport,
     quake,
+    quake_log,
     quake_multiplier,
     tropical_transport,
     u_coords,
@@ -64,6 +65,14 @@ def test_quake_past_float_range_is_a_typed_error(L):
     P = pattern("A3")
     with pytest.raises(FloatRangeError, match="quake_log"):
         quake(P, ones(P), TropicalPoint(0, L))
+
+
+def test_quake_log_past_float_range_is_a_typed_error():
+    # the image's second log-coordinate passes the float maximum; it was
+    # returned as inf
+    P = pattern("B2")
+    with pytest.raises(FloatRangeError, match="log-coordinates"):
+        quake_log(P, (0.0, 0.0), TropicalPoint(0, (-1.7e308, 1.7e308)))
 
 
 def test_quake_multiplier_exact_frozen():

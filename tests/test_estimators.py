@@ -242,6 +242,27 @@ def test_transform_past_float_range_stays_finite():
     assert_close(est.inverse_transform(Y), X, X)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_transform_past_log_float_range_is_a_typed_error():
+    # as quake_log, whose image has a log-coordinate past the float
+    # maximum; transform returned inf there
+    est = EarthquakeTransformer("B2", g0=(1, 1)).fit()
+    row = [-1.7e308, 1.7e308]
+    with pytest.raises(FloatRangeError, match=r"image of row \[-1.7e\+308"):
+        est.transform([[0.5, 1.0], row])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_inverse_transform_past_float_range_is_a_typed_error():
+    # the walk down from the base overflows on this row, so it misses
+    # every chart: the cause is the float range, not a missing chart
+    est = EarthquakeTransformer("B2", g0=(1, 1)).fit()
+    row = [-1.7e308, 1.7e308]
+    with pytest.raises(FloatRangeError,
+                       match=r"inverse image of row \[-1.7e\+308"):
+        est.inverse_transform([[0.5, 1.0], row])
+
+
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)
 def test_transform_on_rays_matches_quake_log(label):
     # a ray far out has coordinates of order 1 beside huge ones; each

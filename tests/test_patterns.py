@@ -18,8 +18,9 @@ from clusterquake import (
 )
 from clusterquake import _steps, intmat, patterns
 from clusterquake.cli import main
-from clusterquake.fpoly import FPolynomial
+from clusterquake.fpoly import FPolynomial, f_matrix
 from clusterquake.patterns import (
+    BasedMatrices,
     ExchangePattern,
     PatternVertex,
     mutate_c_matrix,
@@ -140,25 +141,60 @@ def labeled_bfs_oracle(eps0, type_tag="custom", cap=None):
 
 def pattern_of(vertices, mut_edges, perm_edges, type_tag):
     """An ExchangePattern whose slots hold the given vertices as they
-    are, each labeled by its cone, numbered in order of first appearance
-    (it has no clusters to build a vertex from).  Two
-    vertices share a cone exactly when their cone matrices have the same
-    set of columns, that is when their inverses (the Cdual matrices) have
-    the same set of rows; so the pattern's fan() is the fan oracle.  The
-    BFS parent of a vertex is the one whose path is its path without the
-    last edge."""
+    are, each labeled by its cone, numbered in order of first appearance.
+    Two vertices share a cone exactly when their cone matrices have the
+    same set of columns, that is when their inverses (the Cdual matrices)
+    have the same set of rows.  Each cone's cluster holds the matrices of
+    its first vertex, and generators transported along that vertex's
+    route (walked_cone_matrix); so the pattern's fan() is the fan oracle.
+    The BFS parent of a vertex is the one whose path is its path without
+    the last edge."""
     cones = {}
     labels = []
     for v in vertices:
-        c, first = cones.setdefault(frozenset(v.Cdual), (len(cones), v.Cdual))
-        labels.append((c, tuple(map(first.index, v.Cdual))))
+        c, first = cones.setdefault(frozenset(v.Cdual), (len(cones), v))
+        labels.append((c, tuple(map(first.Cdual.index, v.Cdual))))
     by_path = {v.path: v.id for v in vertices}
     parents = [(by_path[v.path[:-1]], v.path[-1]) if v.path else None
                for v in vertices]
     P = ExchangePattern(labels, parents, mut_edges, perm_edges, type_tag,
-                        None, None)
+                        None, [])
     P._slots[:] = vertices
+    P._clusters[:] = [
+        patterns._Cluster(v.eps, v.C, v.Cdual, v.G,
+                          intmat.transpose(walked_cone_matrix(P, v.id)),
+                          None, v.Fs)
+        for _, v in cones.values()]
     return P
+
+
+def trop_columns(M, eps, k):
+    """trop_mutation applied to each column of M (rows are directions)."""
+    return tuple(zip(*(_steps.trop_mutation(col, eps, k) for col in zip(*M))))
+
+
+def walked_cone_matrix(P, vid):
+    """C^s_{v->v0} by transporting the chart-v basis vectors to the base
+    chart along route(v, base), independently of the generators the
+    clusters carry."""
+    return P.walk(intmat.identity(P.n), vid, P.base, trop_columns)
+
+
+def walked_based_matrices(P, vid):
+    """based_matrices(vid) by the C- and F-recursions along route(v,
+    base), for every vertex alike."""
+    d = P.d
+
+    def step(rows, eps, k):
+        C, Fs = zip(*rows)
+        eps = ExchangeMatrix(eps, d)
+        return tuple(zip(mutate_c_matrix(C, eps, k),
+                         patterns.mutate_F(Fs, C, eps, k)))
+
+    start = tuple((row, FPolynomial.constant(P.n))
+                  for row in intmat.identity(P.n))
+    C, Fs = zip(*P.walk(start, vid, P.base, step))
+    return BasedMatrices(C, Fs, f_matrix(Fs))
 
 
 def a2():
@@ -484,6 +520,9 @@ def test_cluster_memo_matches_labeled_bfs_oracle(label):
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)
 def test_f_polynomials_mutated_once_per_new_cluster(label, monkeypatch):
+    # the build, the fan, the vertices and the cone matrices read no F;
+    # the first read of every v.Fs mutates each cluster's F once, from
+    # its BFS parent cluster's, and a second read mutates none
     calls = []
     real = patterns.mutate_F
 
@@ -493,9 +532,50 @@ def test_f_polynomials_mutated_once_per_new_cluster(label, monkeypatch):
 
     monkeypatch.setattr(patterns, "mutate_F", counting)
     P = pattern_from_type(label)
+    P.fan()
+    for v in P.vertices:
+        P.cone_matrix(v.id)
     clusters = len({frozenset(v.C) for v in P.vertices})
+    assert calls == []
+    assert P.stats["clusters"] == clusters and P.stats["f_clusters"] == 1
+    first = [v.Fs for v in P.vertices]
     assert len(calls) == clusters - 1
-    assert P.stats["clusters"] == clusters
+    assert P.stats["f_clusters"] == clusters
+    assert [v.Fs for v in P.vertices] == first
+    assert len(calls) == clusters - 1
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES + ["A5", "B5", "D5"])
+def test_carried_cone_data_match_route_walks(label):
+    # the generators each cluster carries, and the based matrices derived
+    # from each cluster's first vertex, against walks of every vertex's
+    # own route
+    P = pattern_from_type(label)
+    ident = intmat.identity(P.n)
+    for vid in range(len(P)):
+        K = P.cone_matrix(vid)
+        assert K == walked_cone_matrix(P, vid), vid
+        assert intmat.matmul(K, P.cone_matrix_inv(vid)) == ident, vid
+    for cone in P.fan():
+        assert cone.generators == intmat.transpose(
+            walked_cone_matrix(P, cone.vertex_id)), cone.vertex_id
+    for vid in range(len(P)):
+        assert P.based_matrices(vid) == walked_based_matrices(P, vid), vid
+
+
+def test_based_matrices_walk_once_per_cluster(monkeypatch):
+    walked = []
+    real = ExchangePattern.walk
+
+    def counting(self, state, src, dst, mutation):
+        walked.append(src)
+        return real(self, state, src, dst, mutation)
+
+    monkeypatch.setattr(ExchangePattern, "walk", counting)
+    P = pattern_from_type("D4")
+    for vid in reversed(range(len(P))):
+        P.based_matrices(vid)
+    assert sorted(walked) == [cone.vertex_id for cone in P.fan()]
 
 
 def test_wrong_landing_relabeling_is_caught(monkeypatch):
@@ -523,11 +603,17 @@ def test_stats():
         "vertices": 1200, "clusters": 50, "mutation_edges": 1200 * 4 // 2,
         "relabel_edges": 1200 * 6 // 2, "cones": 50}
     assert stats["bfs_s"] > 0 and stats["fan_s"] >= 0
-    assert stats["cone_cache"] == 50 and stats["based_cache"] == 0
-    # the fan builds the vertices its representatives' routes pass
-    assert 0 < stats["vertex_cache"] < 1200
+    # the fan reads its cones off the clusters: no vertex, no F built
+    assert stats["based_cache"] == 0 and stats["vertex_cache"] == 0
+    assert stats["f_clusters"] == 1
+    # vertex 7 is not its cluster's first, which walks the route for it
+    assert 7 not in {c.vertex_id for c in P.fan()}
     P.based_matrices(7)
-    assert P.stats["based_cache"] == 1
+    assert P.stats["based_cache"] == 2 and P.stats["f_clusters"] == 1
+    # one vertex's F builds those of its cluster's BFS ancestors only
+    P.vertex(1199).Fs
+    assert 0 < P.stats["vertex_cache"] < 1200
+    assert 1 < P.stats["f_clusters"] < 50
 
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)
