@@ -80,9 +80,10 @@ def _tropical(pattern, rng, spread):
 
 def matrices(pattern, rng):
     worst = 0
+    ident = intmat.identity(pattern.n)
     for v in pattern.vertices:
-        dual = intmat.inverse_unimodular(v.Cdual)
-        ok_dual = dual == pattern.cone_matrix(v.id)
+        # square integer matrices: a one-sided inverse is the inverse
+        ok_dual = intmat.matmul(pattern.cone_matrix(v.id), v.Cdual) == ident
         ok_fugy, residual = pattern.fuGy_check(v.id)
         worst = max(worst, max(abs(x) for row in residual for x in row))
         for k in range(pattern.n):

@@ -271,7 +271,7 @@ def cluster_reduce(P: ExchangePattern, v0: int, J, g0: PositivePoint,
     while queue:
         w = queue.pop()
         for k in J:
-            nxt = P.mut_edges[(w, k)]
+            nxt = P.neighbor(w, ("mu", k))
             if nxt not in star:
                 star.add(nxt)
                 queue.append(nxt)

@@ -225,13 +225,15 @@ class EarthquakeTransformer:
         pos, U = self._locate(X)
         U += self._log_g0[pos].T
         depth = self._depth[pos]
-        for d in range(depth.max(initial=0), 0, -1):
-            rows = np.flatnonzero(depth >= d)
-            c = pos[rows]
-            U[:, rows] = _log_mutation(
-                U[:, rows], (self._k[c], np.arange(len(rows))),
-                self._up[:, :, c])
-            pos[rows] = self._parent[c]
+        # a row whose walk up leaves the float range is caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d in range(depth.max(initial=0), 0, -1):
+                rows = np.flatnonzero(depth >= d)
+                c = pos[rows]
+                U[:, rows] = _log_mutation(
+                    U[:, rows], (self._k[c], np.arange(len(rows))),
+                    self._up[:, :, c])
+                pos[rows] = self._parent[c]
         if not np.isfinite(U).all():
             row = X[:, (~np.isfinite(U).all(axis=0)).argmax()]
             raise FloatRangeError(f"the earthquake image of row "
@@ -241,29 +243,31 @@ class EarthquakeTransformer:
     def _inverse(self, X):
         pos = np.full(X.shape[1], -1)
         x = np.empty_like(X)
-        for cones, V in self._charts(X):
-            coords = V - self._log_g0[cones, :, None]
-            hit = (coords >= -TOL).all(axis=1)
-            rows = np.flatnonzero(hit.any(axis=0) & (pos < 0))
-            first = hit[:, rows].argmax(axis=0)
-            pos[rows] = cones[first]
-            x[:, rows] = coords[first, :, rows].T
-            if (pos >= 0).all():
-                break
-        else:
-            # a row whose walk down left the float range missed its chart
-            missed = X[:, pos < 0]
-            finite = np.ones(missed.shape[1], bool)
-            for _, V in self._charts(missed):
-                finite &= np.isfinite(V).all(axis=(0, 1))
-            if not finite.all():
-                raise FloatRangeError(
-                    f"the inverse image of row "
-                    f"{missed[:, finite.argmin()].tolist()} leaves the float "
-                    "range")
-            raise HomeomorphismError(
-                f"no chart of pattern {self.pattern_.type_tag!r} realizes "
-                f"the inverse image of row {X[:, pos.argmin()].tolist()}")
+        # a row whose walk down leaves the float range misses its chart;
+        # the else branch raises for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cones, V in self._charts(X):
+                coords = V - self._log_g0[cones, :, None]
+                hit = (coords >= -TOL).all(axis=1)
+                rows = np.flatnonzero(hit.any(axis=0) & (pos < 0))
+                first = hit[:, rows].argmax(axis=0)
+                pos[rows] = cones[first]
+                x[:, rows] = coords[first, :, rows].T
+                if (pos >= 0).all():
+                    break
+            else:
+                missed = X[:, pos < 0]
+                finite = np.ones(missed.shape[1], bool)
+                for _, V in self._charts(missed):
+                    finite &= np.isfinite(V).all(axis=(0, 1))
+                if not finite.all():
+                    raise FloatRangeError(
+                        f"the inverse image of row "
+                        f"{missed[:, finite.argmin()].tolist()} leaves the "
+                        "float range")
+                raise HomeomorphismError(
+                    f"no chart of pattern {self.pattern_.type_tag!r} realizes "
+                    f"the inverse image of row {X[:, pos.argmin()].tolist()}")
         return _mul(self._cmat[:, :, pos], x).T
 
     def transform(self, X):

@@ -56,7 +56,7 @@ def glue(Z: CentralCharge, P: ExchangePattern, k: int) -> CentralCharge:
     for i in range(len(z)):
         if i != k:
             out[i] = z[i] + max(0, -s * eps[i][k]) * zk
-    return CentralCharge(P.mut_edges[(Z.chart, k)], tuple(out))
+    return CentralCharge(P.neighbor(Z.chart, ("mu", k)), tuple(out))
 
 
 def horocycle_flow(Z: CentralCharge, t: float) -> CentralCharge:

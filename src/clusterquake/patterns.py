@@ -11,9 +11,12 @@ C^- , its G-matrix and its cone generators, each stepped from its BFS
 parent cluster by an integer one-step recursion.  Its F-polynomials
 are not built with it: the first read of a cluster's F mutates them
 down from the nearest ancestor that has them, and keeps them, so the
-build, the fan and point location build none.  The pattern object then
-answers the derived questions: tropical signs, cones and the fan, the
-based matrices, FuGy identity, F*C products.
+build, the fan and point location build none.  No edge is stored
+either: the per-cluster mutation memo and the index of labeled seeds
+fix every labeled edge, and the pattern reads an edge's far end off
+them (ExchangePattern.neighbor).  The pattern object then answers the
+derived questions: tropical signs, cones and the fan, the based
+matrices, FuGy identity, F*C products.
 
 Conventions (all 0-based):
   * C-matrix rows are c-vectors; C^s_{v0->v} linearizes the tropical
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
+from functools import cached_property
 from operator import mul
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -55,9 +58,6 @@ from .fpoly import FPolynomial, f_matrix, mutate_F
 from .seeds import ExchangeMatrix, seed_from_type
 
 DEFAULT_CAP = 50_000
-
-MutEdge = tuple  # ("mu", k)
-PermEdge = tuple  # ("perm", images)
 
 
 def _row_sign(row):
@@ -164,16 +164,22 @@ class ExchangePattern:
     of each of its matrices is row p[i] of the canonical seed
     clusters[cluster id], and its cone generator i is the cluster's
     generator p[i].  Its PatternVertex is built from there the first time
-    it is read and kept in its slot.  The pattern owns the lists and edge
-    maps it is given."""
+    it is read and kept in its slot.  No edge is stored: neighbor() reads
+    an edge's far end off the cluster memo (cluster id, direction) ->
+    (cluster id, tau) and the label index (cluster id, p) -> vid.  The
+    pattern owns the lists and maps it is given."""
 
-    def __init__(self, labels, parents, mut_edges, perm_edges, type_tag, cap,
-                 clusters, bfs_s=None):
+    def __init__(self, labels, parents, index, memo, type_tag, cap, clusters,
+                 bfs_s=None):
         self._labels = labels
         self._parents = parents
+        self._index = index
+        self._memo = memo
         self._slots = [None] * len(labels)
-        self.mut_edges = mut_edges  # (vid, k) -> wid
-        self.perm_edges = perm_edges  # (vid, images) -> wid
+        self.eps0 = clusters[0].eps
+        # every edge label: ("mu", k), then ("perm", images) by images
+        self._edge_labels = [("mu", k) for k in range(self.eps0.n)] + sorted(
+            ("perm", s.images) for s in self.eps0.admissible_transpositions())
         self.base = 0
         self.type_tag = type_tag
         self.cap = cap
@@ -196,10 +202,6 @@ class ExchangePattern:
     @property
     def d(self):
         return self.eps0.d
-
-    @property
-    def eps0(self):
-        return self.vertex(0).eps
 
     @property
     def vertices(self):
@@ -234,10 +236,46 @@ class ExchangePattern:
         return self._slots[vid] or self._build(vid)
 
     def neighbor(self, vid, edge):
-        kind = edge[0]
-        if kind == "mu":
-            return self.mut_edges[(vid, edge[1])]
-        return self.perm_edges[(vid, edge[1])]
+        """The vertex at the other end of edge, ("mu", k) or ("perm",
+        images), from vertex vid, read off the cluster memo and the label
+        index.  Raises PreconditionError when vid is not an id in
+        range(len(self)), edge is not an edge label, or the edge leaves a
+        partial pattern."""
+        if 0 <= vid < len(self) and edge in self._edge_labels:
+            wid = self._far_end(vid, edge)
+            if wid is not None:
+                return wid
+        raise PreconditionError(f"no edge {edge} leaves vertex {vid} in this "
+                                f"pattern of {len(self)} vertices")
+
+    def _far_end(self, vid, edge):
+        """neighbor(vid, edge) for a vertex id and an edge label, or None
+        where the edge leaves a partial pattern.  Vertex (c, p) relabels by
+        images to (c, p o images), and mutates in direction k as cluster c
+        does in direction p[k]: to (c', tau o p), with (c', tau) the
+        memo's landing, as enumerate_pattern steps."""
+        c, p = self._labels[vid]
+        if edge[0] == "perm":
+            return self._index.get((c, tuple(map(p.__getitem__, edge[1]))))
+        # a landing not yet in the memo leads to no label
+        c, tau = self._memo.get((c, p[edge[1]]), (None, p))
+        return self._index.get((c, tuple(map(tau.__getitem__, p))))
+
+    def _edges(self, kind):
+        """(vid, arg, neighbor(vid, (kind, arg))) for every edge of that kind
+        in the pattern, at both its ends, in (vid, arg) order."""
+        edges = [edge for edge in self._edge_labels if edge[0] == kind]
+        for vid in range(len(self)):
+            for edge in edges:
+                if (wid := self._far_end(vid, edge)) is not None:
+                    yield vid, edge[1], wid
+
+    @cached_property
+    def mut_edges(self):
+        """{(vid, k): neighbor(vid, ("mu", k))} for every mutation edge in
+        the pattern, built on first read and kept.  The library reads
+        neighbor(); the map is there for callers that want it whole."""
+        return {(vid, k): wid for vid, k, wid in self._edges("mu")}
 
     def vertex_sequence(self, vid):
         """Vertex ids on the tree path from the base to vid, both included."""
@@ -477,13 +515,14 @@ class ExchangePattern:
 
         Builds the fan if it has not been built.  `vertex_cache` counts
         the vertices built so far, and `f_clusters` the clusters whose
-        F-polynomials are built (the base's from the start)."""
+        F-polynomials are built (the base's from the start).  The edges are
+        counted off the memo, with no edge map and no vertex built."""
         fan = self.fan()
         return {
             "vertices": len(self),
             "clusters": len(self._clusters),
-            "mutation_edges": len(self.mut_edges) // 2,
-            "relabel_edges": len(self.perm_edges) // 2,
+            "mutation_edges": sum(v < w for v, _, w in self._edges("mu")),
+            "relabel_edges": sum(v < w for v, _, w in self._edges("perm")),
             "cones": len(fan),
             "bfs_s": self._bfs_s,
             "fan_s": self._fan_s,
@@ -504,15 +543,13 @@ class ExchangePattern:
                 "G": [list(r) for r in v.G],
                 "F": [f.to_records() for f in v.Fs],
             })
-        # both edge maps hold every edge from both ends, and no edge is a
-        # loop: list each from its smaller end
+        # an edge is known at both ends (the memo holds each landing with
+        # its inverse): list it from its smaller one
         edges = [{"src": vid, "dst": wid, "kind": "mutation", "k": k}
-                 for (vid, k), wid in sorted(self.mut_edges.items())
-                 if vid < wid]
+                 for vid, k, wid in self._edges("mu") if vid < wid]
         edges += [{"src": vid, "dst": wid, "kind": "relabel",
                    "sigma": list(images)}
-                  for (vid, images), wid in sorted(self.perm_edges.items())
-                  if vid < wid]
+                  for vid, images, wid in self._edges("perm") if vid < wid]
         return {"type": self.type_tag, "base": self.base, "d": list(self.d),
                 "vertices": verts, "edges": edges}
 
@@ -629,18 +666,14 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     labels = []  # vid -> (cluster id, p)
     parents = []  # vid -> (BFS parent id, edge); None at the base
     index = {}  # (cluster id, p) -> vid
-    mut_edges = {}
-    perm_edges = {}
     # one tuple per edge label, shared by every tree edge that takes it
     mu_steps = [(k, ("mu", k)) for k in range(n)]
     perm_steps = [(s.images, ("perm", s.images))
                   for s in eps0.admissible_transpositions()]
-    queue = deque()
 
     def pattern_so_far():
-        return ExchangePattern(labels, parents, mut_edges, perm_edges,
-                               type_tag, cap, clusters,
-                               bfs_s=time.process_time() - start)
+        return ExchangePattern(labels, parents, index, memo, type_tag, cap,
+                               clusters, bfs_s=time.process_time() - start)
 
     def new_cluster(cluster):
         # a labeled vertex is the cluster's seed with its rows permuted by
@@ -690,16 +723,13 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         labels.append(label)
         parents.append(parent)
         index[label] = vid
-        queue.append(vid)
-        return vid
 
     ident_m = intmat.identity(n)
     new_cluster(_Cluster(eps0, ident_m, ident_m, ident_m, ident_m, None,
                          tuple(FPolynomial.constant(n) for _ in range(n))))
     add((0, ident), None)
-    while queue:
-        vid = queue.popleft()
-        c, p = labels[vid]
+    # labels is the queue: vertices are popped in id order, as added
+    for vid, (c, p) in enumerate(labels):
         if c not in checked:
             # the first vertex popped from a cluster; relabeling keeps
             # |eps_ij * eps_ji| over the pairs, so one test per cluster
@@ -714,27 +744,19 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                     f"eps_{j}{i}| = {abs(e[i][j] * e[j][i])} > 3; the "
                     "mutation class is not of finite type",
                     partial=pattern_so_far())
+        # the far ends' labels, as ExchangePattern._far_end makes them; one
+        # already indexed is an edge already found
         for k, step in mu_steps:
-            if (vid, k) in mut_edges:
-                continue
             target, tau = memo.get((c, p[k])) or mutate(c, p[k])
             label = (target, tuple(map(tau.__getitem__, p)))
-            wid = index.get(label)
-            if wid is None:
-                wid = add(label, (vid, step))
-            mut_edges[(vid, k)] = wid
-            mut_edges[(wid, k)] = vid
+            if label not in index:
+                add(label, (vid, step))
         for images, step in perm_steps:
-            if (vid, images) in perm_edges:
-                continue
             # row i of the relabeled seed is row images^-1(i) = images(i)
             # (a transposition is its own inverse)
             label = (c, tuple(map(p.__getitem__, images)))
-            wid = index.get(label)
-            if wid is None:
-                wid = add(label, (vid, step))
-            perm_edges[(vid, images)] = wid
-            perm_edges[(wid, images)] = vid
+            if label not in index:
+                add(label, (vid, step))
     return pattern_so_far()
 
 

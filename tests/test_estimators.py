@@ -242,18 +242,20 @@ def test_transform_past_float_range_stays_finite():
     assert_close(est.inverse_transform(Y), X, X)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_transform_past_log_float_range_is_a_typed_error():
+@pytest.mark.filterwarnings("error")
+def test_transform_past_log_float_range_is_a_typed_error(capfd):
     # as quake_log, whose image has a log-coordinate past the float
-    # maximum; transform returned inf there
+    # maximum; transform returned inf there.  The overflow on the way
+    # gives no numpy warning, which would escape in place of the error
     est = EarthquakeTransformer("B2", g0=(1, 1)).fit()
     row = [-1.7e308, 1.7e308]
     with pytest.raises(FloatRangeError, match=r"image of row \[-1.7e\+308"):
         est.transform([[0.5, 1.0], row])
+    assert capfd.readouterr().err == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_inverse_transform_past_float_range_is_a_typed_error():
+@pytest.mark.filterwarnings("error")
+def test_inverse_transform_past_float_range_is_a_typed_error(capfd):
     # the walk down from the base overflows on this row, so it misses
     # every chart: the cause is the float range, not a missing chart
     est = EarthquakeTransformer("B2", g0=(1, 1)).fit()
@@ -261,6 +263,7 @@ def test_inverse_transform_past_float_range_is_a_typed_error():
     with pytest.raises(FloatRangeError,
                        match=r"inverse image of row \[-1.7e\+308"):
         est.inverse_transform([[0.5, 1.0], row])
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)

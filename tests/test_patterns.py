@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import time
 from collections import deque
 from fractions import Fraction
@@ -6,17 +7,25 @@ from fractions import Fraction
 import pytest
 
 from clusterquake import (
+    CentralCharge,
     ExchangeMatrix,
     InternalConsistencyError,
     NotFiniteTypeError,
     PatternBudgetError,
     PositivePoint,
+    PreconditionError,
+    TropicalPoint,
+    cluster_reduce,
     enumerate_pattern,
+    glue,
+    inverse_quake,
     limit_L,
+    locate_cone,
     pattern_from_type,
+    quake,
     seed_from_type,
 )
-from clusterquake import _steps, intmat, patterns
+from clusterquake import _steps, checks, intmat, patterns
 from clusterquake.cli import main
 from clusterquake.fpoly import FPolynomial, f_matrix
 from clusterquake.patterns import (
@@ -80,7 +89,10 @@ def labeled_bfs_oracle(eps0, type_tag="custom", cap=None):
     (ExchangeMatrix.relabel and _steps.apply_perm on relabel edges) and
     deduplicated by (eps, C).  Kept as the reference for enumerate_pattern
     on finite types; with a cap it stops where enumerate_pattern raises
-    PatternBudgetError, and returns what it has."""
+    PatternBudgetError, and returns what it has.  Its own edge maps are
+    kept on the pattern as edge_maps = (mut_edges, perm_edges), the edges
+    its BFS found, and edges_within, the same maps for every edge between
+    two vertices it has (which a capped BFS may not have found)."""
     n = eps0.n
     vertices, index, mut_edges, perm_edges = [], {}, {}, {}
     transpositions = eps0.admissible_transpositions()
@@ -136,7 +148,28 @@ def labeled_bfs_oracle(eps0, type_tag="custom", cap=None):
                 perm_edges[(wid, sigma.images)] = vid
     except Full:
         pass
-    return pattern_of(vertices, mut_edges, perm_edges, type_tag)
+    P = pattern_of(vertices, mut_edges, perm_edges, type_tag)
+    P.edge_maps = (mut_edges, perm_edges)
+    P.edges_within = ({}, {})
+    for v in vertices:
+        for k in range(n):
+            wid = index.get((v.eps.mutate(k).entries,
+                             mutate_c_matrix(v.C, v.eps, k)))
+            if wid is not None:
+                P.edges_within[0][(v.id, k)] = wid
+        for sigma in transpositions:
+            wid = index.get((v.eps.relabel(sigma).entries,
+                             _steps.apply_perm(v.C, sigma.images)))
+            if wid is not None:
+                P.edges_within[1][(v.id, sigma.images)] = wid
+    return P
+
+
+def oracle_neighbor(oracle):
+    """neighbor() read off the oracle's own edge maps."""
+    mut_edges, perm_edges = oracle.edge_maps
+    return lambda vid, edge: (mut_edges if edge[0] == "mu"
+                              else perm_edges)[(vid, edge[1])]
 
 
 def pattern_of(vertices, mut_edges, perm_edges, type_tag):
@@ -148,7 +181,11 @@ def pattern_of(vertices, mut_edges, perm_edges, type_tag):
     its first vertex, and generators transported along that vertex's
     route (walked_cone_matrix); so the pattern's fan() is the fan oracle.
     The BFS parent of a vertex is the one whose path is its path without
-    the last edge."""
+    the last edge.  The label index and the cluster memo are read off the
+    edge maps: a mutation edge (c, p) -> (c', p') in direction k is the
+    landing (c', tau) of cluster c in direction p[k], tau = p' o p^-1,
+    and every edge of one cluster and direction must land alike.  Every
+    relabel edge must lead to the label the pattern forms for it."""
     cones = {}
     labels = []
     for v in vertices:
@@ -157,14 +194,22 @@ def pattern_of(vertices, mut_edges, perm_edges, type_tag):
     by_path = {v.path: v.id for v in vertices}
     parents = [(by_path[v.path[:-1]], v.path[-1]) if v.path else None
                for v in vertices]
-    P = ExchangePattern(labels, parents, mut_edges, perm_edges, type_tag,
-                        None, [])
+    index = {label: vid for vid, label in enumerate(labels)}
+    memo = {}
+    for (vid, k), wid in mut_edges.items():
+        (c, p), (target, q) = labels[vid], labels[wid]
+        landing = (target, tuple(q[p.index(j)] for j in range(len(p))))
+        assert memo.setdefault((c, p[k]), landing) == landing, (vid, k)
+    for (vid, images), wid in perm_edges.items():
+        c, p = labels[vid]
+        assert labels[wid] == (c, tuple(p[i] for i in images)), (vid, images)
+    clusters = [patterns._Cluster(v.eps, v.C, v.Cdual, v.G, None, None, v.Fs)
+                for _, v in cones.values()]
+    P = ExchangePattern(labels, parents, index, memo, type_tag, None,
+                        clusters)
     P._slots[:] = vertices
-    P._clusters[:] = [
-        patterns._Cluster(v.eps, v.C, v.Cdual, v.G,
-                          intmat.transpose(walked_cone_matrix(P, v.id)),
-                          None, v.Fs)
-        for _, v in cones.values()]
+    for cluster, (_, v) in zip(clusters, cones.values()):
+        cluster.gens = intmat.transpose(walked_cone_matrix(P, v.id))
     return P
 
 
@@ -195,6 +240,20 @@ def walked_based_matrices(P, vid):
                   for row in intmat.identity(P.n))
     C, Fs = zip(*P.walk(start, vid, P.base, step))
     return BasedMatrices(C, Fs, f_matrix(Fs))
+
+
+def relabel_neighbors(P):
+    """{(vid, images): P.neighbor(vid, ("perm", images))} for every vertex
+    and every transposition that preserves d, where the far end is in
+    P."""
+    out = {}
+    for s in P.eps0.admissible_transpositions():
+        for vid in range(len(P)):
+            try:
+                out[(vid, s.images)] = P.neighbor(vid, ("perm", s.images))
+            except PreconditionError:
+                pass
+    return out
 
 
 def a2():
@@ -231,7 +290,7 @@ def test_a2_chain_frozen_values():
     for k in (0, 1, 0, 1, 0):
         w = P.mut_edges[(w, k)]
     assert w != 0
-    assert P.perm_edges[(w, (1, 0))] == 0
+    assert P.neighbor(w, ("perm", (1, 0))) == 0
 
 
 @pytest.mark.parametrize("label,vertices,cones", [
@@ -398,7 +457,7 @@ def test_route_matches_prefix_cancelling_construction():
     for src in range(len(P)):
         for dst in range(len(P)):
             assert P.route(src, dst) == prefix_cancelling_route(
-                paths, oracle.neighbor, src, dst), (src, dst)
+                paths, oracle_neighbor(oracle), src, dst), (src, dst)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
@@ -472,6 +531,24 @@ def test_build_path_needs_no_fraction_inverse(monkeypatch):
     assert len(err.value.partial.fan()) >= 1
 
 
+def test_matrices_suite_decides_duality_in_integers(monkeypatch):
+    def forbidden(m):
+        raise AssertionError("inverse_unimodular called by the suite")
+
+    monkeypatch.setattr(intmat, "inverse_unimodular", forbidden)
+    [check] = checks.matrices(pattern_from_type("D4"), random.Random(0))
+    assert check.ok, check.detail
+    # a C^- that is still unimodular, but no longer the inverse of the
+    # cone matrix, fails the duality on its cluster's vertices
+    P = pattern_from_type("D4")
+    cluster = P._clusters[3]
+    Cdual = list(cluster.Cdual)
+    Cdual[1] = tuple(a + b for a, b in zip(Cdual[1], Cdual[0]))
+    cluster.Cdual = tuple(Cdual)
+    [check] = checks.matrices(P, random.Random(0))
+    assert not check.ok and "duality=False" in check.detail
+
+
 def test_budget_env_var(monkeypatch):
     monkeypatch.setenv("CLUSTER_QUAKE_CAP", "6")
     with pytest.raises(PatternBudgetError):
@@ -512,8 +589,7 @@ def test_cluster_memo_matches_labeled_bfs_oracle(label):
     oracle = labeled_bfs_oracle(eps0, label)
     assert P.to_json_obj() == oracle.to_json_obj()
     assert P.vertices == oracle.vertices
-    assert P.mut_edges == oracle.mut_edges
-    assert P.perm_edges == oracle.perm_edges
+    assert (P.mut_edges, relabel_neighbors(P)) == oracle.edge_maps
     assert ([(c.vertex_id, c.generators, c.members) for c in P.fan()]
             == [(c.vertex_id, c.generators, c.members) for c in oracle.fan()])
 
@@ -588,10 +664,45 @@ def test_wrong_landing_relabeling_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)
 def test_relabel_edges_are_involutions(label):
-    # route() walks a stored relabel edge backwards as it is
+    # route() walks a relabel edge backwards as it is
     P = pattern_from_type(label)
-    for _, images in P.perm_edges:
+    for (vid, images), wid in relabel_neighbors(P).items():
         assert all(images[images[i]] == i for i in range(len(images)))
+        assert P.neighbor(wid, ("perm", images)) == vid
+
+
+def test_neighbor_rejects_what_is_no_edge_of_the_pattern():
+    P = a2()
+    assert P.neighbor(0, ("mu", 0)) == P.mut_edges[(0, 0)]
+    for vid, edge in [(-1, ("mu", 0)), (len(P), ("mu", 0)),
+                      (-1, ("perm", (1, 0))), (len(P), ("perm", (1, 0))),
+                      (0, ("mu", -1)), (0, ("mu", 2)), (0, ("perm", (0, 1))),
+                      (0, ("perm", (1, 0, 2)))]:
+        with pytest.raises(PreconditionError):
+            P.neighbor(vid, edge)
+    # the first mutation of the base leads out of a one-vertex pattern
+    with pytest.raises(PatternBudgetError) as err:
+        pattern_from_type("D4", cap=1)
+    with pytest.raises(PreconditionError):
+        err.value.partial.neighbor(0, ("mu", 0))
+
+
+def test_library_paths_read_no_edge_map():
+    # every edge is read off the memo; only a reader of P.mut_edges
+    # builds that map
+    P = pattern_from_type("B3")
+    g0 = PositivePoint(0, (1.0, 2.0, 0.5))
+    L = TropicalPoint(0, (2.0, -1.0, 3.0))
+    P.fan()
+    locate_cone(L, P)
+    inverse_quake(P, g0, quake(P, g0, L).g)
+    glue(CentralCharge(0, (-1, 2 + 1j, 1j)), P, 0)
+    v0 = P.neighbor(0, ("mu", 1))
+    cluster_reduce(P, v0, [0, 1], PositivePoint(v0, (1.5, 0.7, 2.0)),
+                   TropicalPoint(v0, (-2.0, 1.0, 4.0)))
+    P.to_json_obj()
+    P.stats
+    assert "mut_edges" not in vars(P)
 
 
 def test_stats():
@@ -657,11 +768,15 @@ def test_opposite_cone_matrix_must_be_integral():
 
 def assert_prefix_of_oracle(partial, oracle):
     # vertex i agrees wherever both patterns have one, and every edge of
-    # the partial pattern is an edge of the oracle
+    # the partial pattern is an edge of the oracle; the partial pattern
+    # reads its edges off the memo and the index, so it has every relabel
+    # edge between two of its vertices, and a mutation edge wherever its
+    # cluster's landing is known
     assert len(partial) <= len(oracle)
     assert partial.vertices == oracle.vertices[:len(partial)]
-    assert partial.mut_edges.items() <= oracle.mut_edges.items()
-    assert partial.perm_edges.items() <= oracle.perm_edges.items()
+    mut_within, perm_within = oracle.edges_within
+    assert partial.mut_edges.items() <= mut_within.items()
+    assert relabel_neighbors(partial) == perm_within
 
 
 @pytest.mark.parametrize("label", ["D4", "B3"])
@@ -677,6 +792,11 @@ def test_budget_partial_matches_labeled_bfs_oracle(label, cap):
     assert len(partial) == len(oracle) == min(cap, {"D4": 1200,
                                                     "B3": 40}[label])
     assert_prefix_of_oracle(partial, oracle)
+    # both searches stop at the same step, so the partial pattern has
+    # every edge the oracle's search found
+    mut_edges, perm_edges = oracle.edge_maps
+    assert mut_edges.items() <= partial.mut_edges.items()
+    assert perm_edges.items() <= relabel_neighbors(partial).items()
 
 
 @pytest.mark.parametrize("name", sorted(NOT_FINITE_TYPE))
