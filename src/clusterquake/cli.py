@@ -37,6 +37,10 @@ from .patterns import enumerate_pattern
 from .points import PositivePoint, TropicalPoint, _logs, locate_cone
 from .seeds import ExchangeMatrix, seed_from_type
 
+# Most nodes plot-grid draws: each costs a quake and a u_coords call,
+# and a finer grid would run for hours; the default grid has 13 x 13.
+GRID_NODES = 250_000
+
 
 def _num(text):
     """int, exact fraction, or float — whichever parses first."""
@@ -220,6 +224,9 @@ def cmd_plot_grid(args):
     if step <= 0:
         raise PreconditionError("--step must be positive")
     count = int((hi - lo) / step)
+    if max(count + 1, 0) ** 2 > GRID_NODES:
+        raise PreconditionError(
+            f"--range and --step give more than {GRID_NODES} grid nodes")
     ticks = [lo + i * step for i in range(count + 1)]
     rows = []
     for x1 in ticks:

@@ -139,12 +139,13 @@ def inverse_quake(P: ExchangePattern, g0: PositivePoint,
     """
     pairs = {P.base: (P.walk(g.X, g.chart, P.base, _pos_step),
                       P.walk(g0.X, g0.chart, P.base, _pos_step))}
+    eps = {}
     for cone in P.fan():
         v = cone.vertex_id
+        eps[v] = cone.eps.entries
         if cone.parent is not None:
             w, k = cone.parent
-            eps = P.vertex(w).eps.entries
-            pairs[v] = tuple(_pos_step(X, eps, k) for X in pairs[w])
+            pairs[v] = tuple(_pos_step(X, eps[w], k) for X in pairs[w])
         x = _log_ratios(*pairs[v])
         if all(c >= -TOL for c in x):
             return tropical_transport(TropicalPoint(v, x), P, P.base)

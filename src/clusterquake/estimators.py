@@ -61,6 +61,16 @@ def _parts(e):
     return np.stack([np.maximum(e, 0), np.minimum(e, 0)])
 
 
+def _finite(U, X, what):
+    """U, whose columns are images of the columns of X; FloatRangeError
+    names the first column of X whose image is not finite."""
+    if not np.isfinite(U).all():
+        row = X[:, (~np.isfinite(U).all(axis=0)).argmax()].tolist()
+        raise FloatRangeError(f"the {what} of row {row} leaves the float "
+                              "range")
+    return U
+
+
 def _log_mutation(U, at, parts):
     """_steps.log_mutation of each column of U, in numpy: U[at] is the
     coordinate u_k of the direction k, and parts are the _parts of
@@ -133,8 +143,8 @@ class EarthquakeTransformer:
             w, k = cone.parent
             p = self._parent[i] = position[w]
             self._k[i], depth[i] = k, depth[p] + 1
-            down[i] = [row[k] for row in P.vertex(w).eps.entries]
-            up[i] = [row[k] for row in P.vertex(cone.vertex_id).eps.entries]
+            down[i] = [row[k] for row in fan[p].eps.entries]
+            up[i] = [row[k] for row in cone.eps.entries]
         if (np.diff(depth) < 0).any():
             raise InternalConsistencyError(
                 "fan order is not breadth-first in the fan tree")
@@ -153,8 +163,9 @@ class EarthquakeTransformer:
         self._ids = np.array([cone.vertex_id for cone in fan])
         self._ineq = np.array([row for cone in fan for row in
                                cone.inequalities], dtype=float)[:, :, None]
-        self._cmat = np.array([P.cone_matrix(cone.vertex_id) for cone in fan],
-                              dtype=float).transpose(1, 2, 0)
+        # (n, n, cones): column j of cone c's matrix is its generator j
+        self._cmat = np.array([cone.generators for cone in fan],
+                              dtype=float).transpose(2, 1, 0)
         self._log_g0 = np.empty((m, n))
         log_g0 = np.log(np.array(self.g0_.X, dtype=float))
         for cones, V in self._charts(log_g0[:, None]):
@@ -234,17 +245,14 @@ class EarthquakeTransformer:
                     U[:, rows], (self._k[c], np.arange(len(rows))),
                     self._up[:, :, c])
                 pos[rows] = self._parent[c]
-        if not np.isfinite(U).all():
-            row = X[:, (~np.isfinite(U).all(axis=0)).argmax()]
-            raise FloatRangeError(f"the earthquake image of row "
-                                  f"{row.tolist()} leaves the float range")
-        return U.T
+        return _finite(U, X, "earthquake image").T
 
     def _inverse(self, X):
         pos = np.full(X.shape[1], -1)
         x = np.empty_like(X)
-        # a row whose walk down leaves the float range misses its chart;
-        # the else branch raises for it
+        # a row whose walk down leaves the float range misses its chart,
+        # and the else branch raises for it; one whose image in the base
+        # chart does is caught after the block
         with np.errstate(over="ignore", invalid="ignore"):
             for cones, V in self._charts(X):
                 coords = V - self._log_g0[cones, :, None]
@@ -268,7 +276,8 @@ class EarthquakeTransformer:
                 raise HomeomorphismError(
                     f"no chart of pattern {self.pattern_.type_tag!r} realizes "
                     f"the inverse image of row {X[:, pos.argmin()].tolist()}")
-        return _mul(self._cmat[:, :, pos], x).T
+            L = _mul(self._cmat[:, :, pos], x)
+        return _finite(L, X, "inverse image").T
 
     def transform(self, X):
         """Rows of log X(quake(g0, L)) for each tropical point row L."""

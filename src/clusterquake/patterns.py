@@ -2,21 +2,24 @@
 
 enumerate_pattern performs a breadth-first closure of an initial seed
 under the n matrix mutations and the symmetrizer-preserving
-transpositions, deduplicating labeled seeds by the pair
-(exchange matrix, C-matrix).  The exact work is done once per cluster:
-every labeled vertex is its cluster's canonical seed with the rows
-permuted, stored as that pair and built into a PatternVertex the first
-time it is read.  Each cluster carries its C-matrix, its dual C-matrix
-C^- , its G-matrix and its cone generators, each stepped from its BFS
-parent cluster by an integer one-step recursion.  Its F-polynomials
-are not built with it: the first read of a cluster's F mutates them
-down from the nearest ancestor that has them, and keeps them, so the
-build, the fan and point location build none.  No edge is stored
-either: the per-cluster mutation memo and the index of labeled seeds
-fix every labeled edge, and the pattern reads an edge's far end off
-them (ExchangePattern.neighbor).  The pattern object then answers the
-derived questions: tropical signs, cones and the fan, the based
-matrices, FuGy identity, F*C products.
+transpositions, deduplicating labeled seeds by the pair (exchange
+matrix, C-matrix).  The exact work is done once per cluster, and each
+cluster is one Cone record, made when the BFS first reaches it: every
+labeled vertex is its cluster's canonical seed with the rows permuted,
+stored as the pair (cluster id, permutation), numbered through the
+record's map from permutations to vertex ids, and built into a
+PatternVertex the first time it is read.  Each record carries its
+cluster's C-matrix, its dual C-matrix C^- (the cone's inequalities), its
+G-matrix and its cone generators, each stepped from its parent cone by
+an integer one-step recursion.  Its F-polynomials are not built with it:
+the first read of a cluster's F mutates them down from the nearest
+ancestor that has them, and keeps them, so the build, the fan and point
+location build none.  No edge is stored either: the per-cluster mutation
+memo and the records fix every labeled edge, and the pattern reads an
+edge's far end off them (ExchangePattern.neighbor).  fan() returns the
+records.  The pattern object then answers the derived questions:
+tropical signs, cones and the fan, the based matrices, FuGy identity,
+F*C products.
 
 Conventions (all 0-based):
   * C-matrix rows are c-vectors; C^s_{v0->v} linearizes the tropical
@@ -124,30 +127,64 @@ class PatternVertex:
     G: intmat.IntMatrix
     Fs: tuple
     path: tuple
-    # (cluster, p) whose F-polynomials, rows permuted by p, are Fs
+    # the pattern's cones and labels, not the pattern, which holds the
+    # vertex: with no reference cycle a dropped pattern is freed at once
     f_source: tuple | None = field(default=None, compare=False, repr=False)
 
     def __getattr__(self, name):
         # reached only for an unset slot: ExchangePattern builds its
         # vertices with Fs unset, and the first read fills it from the
-        # cluster, so that every later read is a plain slot read
+        # cone, so that every later read is a plain slot read
         if name != "Fs":
             raise AttributeError(name)
-        cluster, p = self.f_source
-        Fs = tuple(map(cluster.f_polynomials().__getitem__, p))
+        cones, labels = self.f_source
+        c, p = labels[self.id]
+        Fs = tuple(map(_f_polynomials(cones, labels, c).__getitem__, p))
         object.__setattr__(self, "Fs", Fs)
         return Fs
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class Cone:
-    """A maximal cone of the fan, in base-chart coordinates."""
+    """One cluster and its maximal cone of the fan, in base-chart
+    coordinates: the record enumerate_pattern makes when it first reaches
+    the cluster, by one mutation from its parent cone.
 
-    vertex_id: int
+    It holds the cluster's canonical seed, in the labeling of that first
+    vertex, and ids, {label p: vertex id} for the cluster's labeled seeds
+    in id order; the first vertex carries the identity label.  Fs stays
+    None until _f_polynomials builds it."""
+
+    eps: ExchangeMatrix
+    C: intmat.IntMatrix
+    G: intmat.IntMatrix
     generators: tuple  # columns of C^s_{v->v0}
-    members: tuple  # all vertex ids sharing this cone
     inequalities: tuple  # rows of C^{-s}_{v0->v}: >= 0 exactly on the cone
     parent: tuple | None  # (parent cone's vertex id, direction); None at base
+    Fs: tuple | None = None
+    ids: dict = field(default_factory=dict)
+
+    @property
+    def vertex_id(self):
+        """The cluster's first vertex, the one labeled by the identity."""
+        return next(iter(self.ids.values()))
+
+    @property
+    def members(self):
+        """All vertex ids sharing this cone, ascending."""
+        return tuple(self.ids.values())
+
+
+def _f_polynomials(cones, labels, c):
+    """The F-polynomials of cones[c], built on first read: one mutate_F
+    for each cone between it and its nearest ancestor that has them, each
+    kept.  A cone's parent is the cone of its parent vertex's label."""
+    path = [cones[c]]
+    while path[-1].Fs is None:
+        path.append(cones[labels[path[-1].parent[0]][0]])
+    for parent, cone in zip(path[::-1], path[-2::-1]):
+        cone.Fs = mutate_F(parent.Fs, parent.C, parent.eps, cone.parent[1])
+    return path[0].Fs
 
 
 class BasedMatrices(NamedTuple):
@@ -161,22 +198,22 @@ class ExchangePattern:
 
     Vertex vid is the labeled seed labels[vid] = (cluster id, p), first
     reached by the BFS tree edge parents[vid] = (parent id, edge): row i
-    of each of its matrices is row p[i] of the canonical seed
-    clusters[cluster id], and its cone generator i is the cluster's
-    generator p[i].  Its PatternVertex is built from there the first time
-    it is read and kept in its slot.  No edge is stored: neighbor() reads
-    an edge's far end off the cluster memo (cluster id, direction) ->
-    (cluster id, tau) and the label index (cluster id, p) -> vid.  The
-    pattern owns the lists and maps it is given."""
+    of each of its matrices is row p[i] of the canonical seed held by
+    the Cone record cones[cluster id], and its cone generator i is the
+    cone's generator p[i]; that record maps p back to vid.  The
+    PatternVertex is built from there the first time it is read and kept
+    in its slot.  No edge is stored: neighbor() reads an edge's far end
+    off the cluster memo (cluster id, direction) -> (cluster id, tau) and
+    the records.  The pattern owns the lists and maps it is given."""
 
-    def __init__(self, labels, parents, index, memo, type_tag, cap, clusters,
+    def __init__(self, labels, parents, memo, type_tag, cap, cones,
                  bfs_s=None):
         self._labels = labels
         self._parents = parents
-        self._index = index
         self._memo = memo
+        self._cones = cones
         self._slots = [None] * len(labels)
-        self.eps0 = clusters[0].eps
+        self.eps0 = cones[0].eps
         # every edge label: ("mu", k), then ("perm", images) by images
         self._edge_labels = [("mu", k) for k in range(self.eps0.n)] + sorted(
             ("perm", s.images) for s in self.eps0.admissible_transpositions())
@@ -188,8 +225,6 @@ class ExchangePattern:
         self._opposite = None
         self._opp_map = {}
         self._fan = None
-        self._members = None
-        self._clusters = clusters
         self._bfs_s = bfs_s
         self._fan_s = None
 
@@ -213,22 +248,22 @@ class ExchangePattern:
         return len(self._slots)
 
     def _build(self, vid):
-        """The PatternVertex of an empty slot: its cluster's canonical seed
+        """The PatternVertex of an empty slot: its cone's canonical seed
         with the rows permuted by its label.  Fs is left unset, to be read
-        from the cluster on first access (see PatternVertex)."""
+        from the cone on first access (see PatternVertex)."""
         vid %= len(self._slots)
         c, p = self._labels[vid]
-        cl = self._clusters[c]
-        e = cl.eps.entries
+        cone = self._cones[c]
+        e = cone.eps.entries
         C, Cdual, G = (tuple(map(m.__getitem__, p))
-                       for m in (cl.C, cl.Cdual, cl.G))
+                       for m in (cone.C, cone.inequalities, cone.G))
         v = self._slots[vid] = PatternVertex(
             id=vid,
             eps=ExchangeMatrix(
-                tuple(tuple(map(e[a].__getitem__, p)) for a in p), cl.eps.d),
+                tuple(tuple(map(e[a].__getitem__, p)) for a in p), cone.eps.d),
             C=C, Cdual=Cdual, G=G, Fs=None,
             path=tuple(edge for _, edge in self.route(self.base, vid)),
-            f_source=(cl, p))
+            f_source=(self._cones, self._labels))
         object.__delattr__(v, "Fs")
         return v
 
@@ -237,8 +272,8 @@ class ExchangePattern:
 
     def neighbor(self, vid, edge):
         """The vertex at the other end of edge, ("mu", k) or ("perm",
-        images), from vertex vid, read off the cluster memo and the label
-        index.  Raises PreconditionError when vid is not an id in
+        images), from vertex vid, read off the cluster memo and the cone
+        records.  Raises PreconditionError when vid is not an id in
         range(len(self)), edge is not an edge label, or the edge leaves a
         partial pattern."""
         if 0 <= vid < len(self) and edge in self._edge_labels:
@@ -256,10 +291,10 @@ class ExchangePattern:
         memo's landing, as enumerate_pattern steps."""
         c, p = self._labels[vid]
         if edge[0] == "perm":
-            return self._index.get((c, tuple(map(p.__getitem__, edge[1]))))
+            return self._cones[c].ids.get(tuple(map(p.__getitem__, edge[1])))
         # a landing not yet in the memo leads to no label
-        c, tau = self._memo.get((c, p[edge[1]]), (None, p))
-        return self._index.get((c, tuple(map(tau.__getitem__, p))))
+        c, tau = self._memo.get((c, p[edge[1]]), (c, None))
+        return tau and self._cones[c].ids.get(tuple(map(tau.__getitem__, p)))
 
     def _edges(self, kind):
         """(vid, arg, neighbor(vid, (kind, arg))) for every edge of that kind
@@ -336,12 +371,12 @@ class ExchangePattern:
     def _generators(self, vid):
         """The cone generators of vid (the columns of cone_matrix(vid))."""
         c, p = self._labels[vid]
-        return tuple(map(self._clusters[c].gens.__getitem__, p))
+        return tuple(map(self._cones[c].generators.__getitem__, p))
 
     def cone_matrix(self, vid):
         """C^s_{v->v0}: transport of the chart-v basis vectors to the base
         chart (columns are the cone generators), read off the generators
-        its cluster carries."""
+        its cone carries."""
         return tuple(zip(*self._generators(vid)))
 
     def cone_matrix_inv(self, vid):
@@ -353,15 +388,15 @@ class ExchangePattern:
         """C-, F-, and F-degree matrices of the pattern re-based at vid
         with target the original base (C^s_{v->v0}, F^{v->v0}).
 
-        Only the first vertex r of a cluster walks the route.  Direction
-        i of another member v is direction sigma[i] = p_r^-1(p[i]) of r,
-        so its matrices are r's with every C column, F exponent and Fmat
-        column i taken from sigma[i]."""
+        Only the first vertex r of a cluster walks the route.  r carries
+        the identity label, so direction i of another member v, labeled
+        p, is direction p[i] of r, and v's matrices are r's with every C
+        column, F exponent and Fmat column i taken from p[i]."""
         based = self._based_cache.get(vid)
         if based is not None:
             return based
         c, p = self._labels[vid]
-        rep = self._cluster_members()[c][0]
+        rep = self._cones[c].vertex_id
         if rep == vid:
             d = self.d
 
@@ -377,12 +412,9 @@ class ExchangePattern:
             based = BasedMatrices(C, Fs, f_matrix(Fs))
         else:
             r = self.based_matrices(rep)
-            where = {x: j for j, x in enumerate(self._labels[rep][1])}
-            sigma = tuple(where[x] for x in p)
 
             def columns(rows):
-                return tuple(tuple(map(row.__getitem__, sigma))
-                             for row in rows)
+                return tuple(tuple(map(row.__getitem__, p)) for row in rows)
 
             based = BasedMatrices(
                 columns(r.C),
@@ -457,51 +489,42 @@ class ExchangePattern:
     # -- fan -----------------------------------------------------------------
 
     def fan(self):
-        """Maximal cones, deduplicated across relabeled vertices, in
-        vertex-id order of their representatives.
+        """Maximal cones, one Cone record per cluster, in vertex-id order
+        of their first vertices; a cluster made just before the cap
+        stopped the build has no vertex and no cone.
 
         The vertices of one cluster share its cone, and distinct clusters
         of a finite type have distinct cones; a cone's generators and
-        inequalities are its cluster's, in the labeling of its lowest
-        vertex id, and no vertex is built.  The cones
-        form a tree: a representative's BFS parent is an earlier
-        representative, reached by a mutation edge, since a relabeled
-        seed mutates into the same clusters as its cluster's smallest
-        member and the BFS pops that member first.  So one pass in fan
+        inequalities are its cluster's, in the labeling of its first
+        vertex, the identity, and no vertex is built.  The cones form a
+        tree: a cluster is made by a mutation of its parent cluster's
+        first vertex, which the BFS pops before any other member, and its
+        own first vertex is reached by that edge.  So one pass in fan
         order can carry a point from each cone's parent to the cone by
         one mutation."""
         if self._fan is None:
             start = time.process_time()
-            cones = []
+            fan = tuple(cone for cone in self._cones if cone.ids)
+            ident = tuple(range(self.n))
             reps = set()
-            for c, members in self._cluster_members().items():
-                rep = members[0]
+            for c, cone in enumerate(fan):
+                rep = cone.vertex_id
+                if self._labels[rep] != (c, ident):
+                    raise InternalConsistencyError(
+                        f"cone {rep} is labeled {self._labels[rep]}, not as "
+                        f"the canonical seed of cluster {c}")
                 parent = self._parents[rep]
                 if parent is not None:
                     pid, edge = parent
-                    if edge[0] != "mu" or pid not in reps:
+                    if (edge[0] != "mu" or pid not in reps
+                            or cone.parent != (pid, edge[1])):
                         raise InternalConsistencyError(
                             f"cone {rep} is reached by {edge} from vertex "
                             f"{pid}, not by a mutation from an earlier cone")
-                    parent = (pid, edge[1])
                 reps.add(rep)
-                p = self._labels[rep][1]
-                cones.append(Cone(
-                    rep, self._generators(rep), tuple(members),
-                    tuple(map(self._clusters[c].Cdual.__getitem__, p)),
-                    parent))
-            self._fan = tuple(cones)
+            self._fan = fan
             self._fan_s = time.process_time() - start
         return self._fan
-
-    def _cluster_members(self):
-        """{cluster id: its vertex ids, ascending}, in order of the
-        clusters' lowest vertex ids."""
-        if self._members is None:
-            self._members = {}
-            for vid, (c, _) in enumerate(self._labels):
-                self._members.setdefault(c, []).append(vid)
-        return self._members
 
     def ray(self, vid, k):
         """Base-chart coordinates of the k-th cone generator of vertex vid."""
@@ -520,14 +543,14 @@ class ExchangePattern:
         fan = self.fan()
         return {
             "vertices": len(self),
-            "clusters": len(self._clusters),
+            "clusters": len(self._cones),
             "mutation_edges": sum(v < w for v, _, w in self._edges("mu")),
             "relabel_edges": sum(v < w for v, _, w in self._edges("perm")),
             "cones": len(fan),
             "bfs_s": self._bfs_s,
             "fan_s": self._fan_s,
             "based_cache": len(self._based_cache),
-            "f_clusters": sum(cl.Fs is not None for cl in self._clusters),
+            "f_clusters": sum(cone.Fs is not None for cone in self._cones),
             "vertex_cache": len(self._slots) - self._slots.count(None),
         }
 
@@ -587,47 +610,17 @@ def _duality_holds(C, G, d, diag_d):
                  for c_row in C) == diag_d
 
 
-class _Cluster:
-    """Canonical labeled seed of one cluster: the labeling in which the
-    BFS first reached it, with each c-vector's row index, its cone
-    generators, and origin = (parent cluster, direction) of the BFS edge
-    that reached it (None at the base).  Fs stays None until
-    f_polynomials() builds it."""
-
-    __slots__ = ("eps", "C", "Cdual", "G", "gens", "origin", "Fs", "rows")
-
-    def __init__(self, eps, C, Cdual, G, gens, origin, Fs=None):
-        self.eps, self.C, self.Cdual, self.G = eps, C, Cdual, G
-        self.gens, self.origin, self.Fs = gens, origin, Fs
-        self.rows = {row: i for i, row in enumerate(C)}  # c-vector -> row
-
-    def f_polynomials(self):
-        """The F-polynomials, built on first read: one mutate_F for each
-        cluster between this one and its nearest ancestor that has them,
-        each kept."""
-        down = []
-        cl = self
-        while cl.Fs is None:
-            down.append(cl)
-            cl = cl.origin[0]
-        Fs = cl.Fs
-        for cl in reversed(down):
-            parent, q = cl.origin
-            Fs = cl.Fs = mutate_F(Fs, parent.C, parent.eps, q)
-        return Fs
+def _landing_perm(cone: Cone, C):
+    """tau with C[i] == cone.C[tau[i]] for every row i."""
+    return tuple(map(cone.C.index, C))
 
 
-def _landing_perm(cluster: _Cluster, C):
-    """tau with C[i] == cluster.C[tau[i]] for every row i."""
-    return tuple(cluster.rows[row] for row in C)
-
-
-def _is_relabeling(cluster: _Cluster, tau, eps: ExchangeMatrix, C):
-    """Whether (eps, C) is the cluster's canonical seed with row i taken
+def _is_relabeling(cone: Cone, tau, eps: ExchangeMatrix, C):
+    """Whether (eps, C) is the cone's canonical seed with row i taken
     from row tau[i], by a tau that preserves the symmetrizer."""
-    e, d = cluster.eps.entries, cluster.eps.d
+    e, d = cone.eps.entries, cone.eps.d
     return (all(d[t] == x for t, x in zip(tau, d))
-            and tuple(cluster.C[t] for t in tau) == C
+            and tuple(cone.C[t] for t in tau) == C
             and tuple(tuple(e[a][b] for b in tau) for a in tau) == eps.entries)
 
 
@@ -637,15 +630,18 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     admissible transpositions, deduplicated by (eps, C).
 
     A labeled seed is stored as (cluster, p): row i of each of its
-    matrices is row p[i] of the cluster's canonical seed.  Mutation
-    commutes with relabeling, so the exact mutation of eps and C runs
-    once per cluster edge, and that of C^-, G and the cone generators
-    once per new cluster; F is left to the first read (see
-    _Cluster.f_polynomials).  The landing is memoised as (cluster', tau)
-    with row i of the landed seed equal to row tau[i] of the canonical
-    seed of cluster' (clusters are keyed by their set of c-vectors); a
-    labeled step (cluster, p) -> (cluster', tau o p) is then tuple
-    arithmetic.
+    matrices is row p[i] of the canonical seed in the cluster's Cone
+    record, whose ids map p back to the vertex id.  Mutation commutes
+    with relabeling, so the exact mutation of eps and C runs once per
+    cluster edge, and that of C^-, G and the cone generators once per
+    new cluster; F is left to the first read (see _f_polynomials).  The
+    landing is memoised as (cluster', tau) with row i of the landed seed
+    equal to row tau[i] of the canonical seed of cluster' (clusters are
+    keyed by their set of c-vectors); a labeled step (cluster, p) ->
+    (cluster', tau o p) is then tuple arithmetic.  A new cluster is only
+    ever made from the first vertex of its parent cluster, which carries
+    the identity label and is the first of its cluster to be popped, so
+    the new cluster's first vertex is labeled by the identity as well.
 
     Raises NotFiniteTypeError at the first exchange matrix that shows the
     class is not of finite type, and PatternBudgetError when the vertex
@@ -659,48 +655,47 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     diag_d = tuple(tuple(x if i == j else 0 for j in range(n))
                    for i, x in enumerate(d))
     ident = tuple(range(n))
-    clusters = []
+    cones = []  # cluster id -> Cone
     cluster_of = {}  # frozenset of c-vectors -> cluster id
     memo = {}  # (cluster id, direction) -> (cluster id, tau)
-    checked = set()  # cluster ids whose matrix passed the finite-type test
     labels = []  # vid -> (cluster id, p)
     parents = []  # vid -> (BFS parent id, edge); None at the base
-    index = {}  # (cluster id, p) -> vid
     # one tuple per edge label, shared by every tree edge that takes it
     mu_steps = [(k, ("mu", k)) for k in range(n)]
     perm_steps = [(s.images, ("perm", s.images))
                   for s in eps0.admissible_transpositions()]
 
     def pattern_so_far():
-        return ExchangePattern(labels, parents, index, memo, type_tag, cap,
-                               clusters, bfs_s=time.process_time() - start)
+        return ExchangePattern(labels, parents, memo, type_tag, cap, cones,
+                               bfs_s=time.process_time() - start)
 
-    def new_cluster(cluster):
+    def new_cone(cone):
         # a labeled vertex is the cluster's seed with its rows permuted by
         # a d-preserving p, so the identity then holds there as well
-        if not _duality_holds(cluster.C, cluster.G, d, diag_d):
+        if not _duality_holds(cone.C, cone.G, d, diag_d):
             raise InternalConsistencyError(
-                f"cluster {len(clusters)}: C * diag(d) * G^T != diag(d)")
-        cluster_of[frozenset(cluster.C)] = len(clusters)
-        clusters.append(cluster)
-        return len(clusters) - 1
+                f"cluster {len(cones)}: C * diag(d) * G^T != diag(d)")
+        cluster_of[frozenset(cone.C)] = len(cones)
+        cones.append(cone)
+        return len(cones) - 1
 
     def mutate(c, q):
         """(cluster', tau) reached from cluster c by mutation q, memoised."""
-        src = clusters[c]
+        src = cones[c]
         eps = src.eps.mutate(q)
         C = mutate_c_matrix(src.C, src.eps, q)
         target = cluster_of.get(frozenset(C))
         if target is None:
-            target = new_cluster(_Cluster(
-                eps, C, mutate_c_matrix(src.Cdual, -src.eps, q),
-                mutate_g_matrix(src.G, src.C, src.eps, q),
-                mutate_generators(src.gens, src.Cdual, src.eps, q),
-                (src, q)))
+            target = new_cone(Cone(
+                eps, C, mutate_g_matrix(src.G, src.C, src.eps, q),
+                mutate_generators(src.generators, src.inequalities,
+                                  src.eps, q),
+                mutate_c_matrix(src.inequalities, -src.eps, q),
+                (src.vertex_id, q)))
             tau = ident
         else:
-            tau = _landing_perm(clusters[target], C)
-            if not _is_relabeling(clusters[target], tau, eps, C):
+            tau = _landing_perm(cones[target], C)
+            if not _is_relabeling(cones[target], tau, eps, C):
                 raise InternalConsistencyError(
                     f"mutation {q} of cluster {c} lands in cluster {target} "
                     f"by the relabeling {tau}, which does not carry its "
@@ -713,29 +708,27 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         memo[(target, tau[q])] = (c, tuple(inverse))
         return target, tau
 
-    def add(label, parent):
+    def add(c, p, parent):
         vid = len(labels)
         if vid >= cap:
             raise PatternBudgetError(
                 f"exchange graph exceeds {cap} vertices; the mutation class "
                 "does not look finite (raise the cap via CLUSTER_QUAKE_CAP "
                 "if it is)", partial=pattern_so_far())
-        labels.append(label)
+        labels.append((c, p))
         parents.append(parent)
-        index[label] = vid
+        cones[c].ids[p] = vid
 
     ident_m = intmat.identity(n)
-    new_cluster(_Cluster(eps0, ident_m, ident_m, ident_m, ident_m, None,
-                         tuple(FPolynomial.constant(n) for _ in range(n))))
-    add((0, ident), None)
+    new_cone(Cone(eps0, ident_m, ident_m, ident_m, ident_m, None,
+                  tuple(FPolynomial.constant(n) for _ in range(n))))
+    add(0, ident, None)
     # labels is the queue: vertices are popped in id order, as added
     for vid, (c, p) in enumerate(labels):
-        if c not in checked:
+        if p == ident:
             # the first vertex popped from a cluster; relabeling keeps
             # |eps_ij * eps_ji| over the pairs, so one test per cluster
-            checked.add(c)
-            e = clusters[c].eps.entries
-            e = tuple(tuple(e[a][b] for b in p) for a in p)
+            e = cones[c].eps.entries
             bad = _two_finite_violation(e)
             if bad is not None:
                 i, j = bad
@@ -745,18 +738,19 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                     "mutation class is not of finite type",
                     partial=pattern_so_far())
         # the far ends' labels, as ExchangePattern._far_end makes them; one
-        # already indexed is an edge already found
+        # already in its cone's ids is an edge already found
         for k, step in mu_steps:
             target, tau = memo.get((c, p[k])) or mutate(c, p[k])
-            label = (target, tuple(map(tau.__getitem__, p)))
-            if label not in index:
-                add(label, (vid, step))
+            q = tuple(map(tau.__getitem__, p))
+            if q not in cones[target].ids:
+                add(target, q, (vid, step))
+        ids = cones[c].ids
         for images, step in perm_steps:
             # row i of the relabeled seed is row images^-1(i) = images(i)
             # (a transposition is its own inverse)
-            label = (c, tuple(map(p.__getitem__, images)))
-            if label not in index:
-                add(label, (vid, step))
+            q = tuple(map(p.__getitem__, images))
+            if q not in ids:
+                add(c, q, (vid, step))
     return pattern_so_far()
 
 

@@ -250,6 +250,7 @@ G0_BELOW_RANGE = "quake --type A2 --g0 1e-400,1 --L 1,1"
     "horocycle --type A2 --g0 1,1 --L 1,2 --t nan",
     "plot-grid --type A2 --step nan",
     "plot-grid --type A2 --range 0 inf",
+    "plot-grid --type A2 --range 0 1 --step 1e-300",
     "limits --type A2 --mode g --M 1000",
     "quake --type A2 --g0 1,1 --L=1e400,1",
     "dquake --type A2 --g0 1,1 --L=1e400,1",

@@ -266,6 +266,29 @@ def test_inverse_transform_past_float_range_is_a_typed_error(capfd):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("label, g0, row", [
+    ("B2", (1, 1), [-8e307, -8e307]),
+    ("A2", None, [1.7e308, -1.7e308]),
+    ("G2", None, [1.7e308, -1.7e308]),
+    ("A3", None, [1.7e308, -1.7e308, 0.0]),
+])
+def test_inverse_image_past_float_range_is_a_typed_error(capfd, label, g0,
+                                                         row):
+    # each row finds its chart, but its tropical coordinates in the base
+    # chart overflow; the B2 row came back as (1.6e308, -inf)
+    est = EarthquakeTransformer(label, g0=g0).fit()
+    with pytest.raises(FloatRangeError, match=r"inverse image of row \["):
+        est.inverse_transform([[0.5] * len(row), row])
+    assert capfd.readouterr().err == ""
+
+
+def test_fit_builds_no_vertex():
+    # fit reads the exchange matrices off the cone records
+    assert EarthquakeTransformer("D4").fit().pattern_.stats[
+        "vertex_cache"] == 0
+
+
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)
 def test_transform_on_rays_matches_quake_log(label):
     # a ray far out has coordinates of order 1 beside huge ones; each

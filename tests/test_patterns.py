@@ -177,15 +177,17 @@ def pattern_of(vertices, mut_edges, perm_edges, type_tag):
     are, each labeled by its cone, numbered in order of first appearance.
     Two vertices share a cone exactly when their cone matrices have the
     same set of columns, that is when their inverses (the Cdual matrices)
-    have the same set of rows.  Each cone's cluster holds the matrices of
-    its first vertex, and generators transported along that vertex's
-    route (walked_cone_matrix); so the pattern's fan() is the fan oracle.
-    The BFS parent of a vertex is the one whose path is its path without
-    the last edge.  The label index and the cluster memo are read off the
-    edge maps: a mutation edge (c, p) -> (c', p') in direction k is the
-    landing (c', tau) of cluster c in direction p[k], tau = p' o p^-1,
-    and every edge of one cluster and direction must land alike.  Every
-    relabel edge must lead to the label the pattern forms for it."""
+    have the same set of rows.  Each cone's record holds the matrices of
+    its first vertex, generators transported along that vertex's route
+    (walked_cone_matrix), the vertex ids of its labels, and as parent the
+    vertex and direction of its first vertex's last edge; so the
+    pattern's fan() is the fan oracle.  The BFS parent of a vertex is the
+    one whose path is its path without the last edge.  The cluster memo
+    is read off the edge maps: a mutation edge (c, p) -> (c', p') in
+    direction k is the landing (c', tau) of cluster c in direction p[k],
+    tau = p' o p^-1, and every edge of one cluster and direction must
+    land alike.  Every relabel edge must lead to the label the pattern
+    forms for it."""
     cones = {}
     labels = []
     for v in vertices:
@@ -194,7 +196,6 @@ def pattern_of(vertices, mut_edges, perm_edges, type_tag):
     by_path = {v.path: v.id for v in vertices}
     parents = [(by_path[v.path[:-1]], v.path[-1]) if v.path else None
                for v in vertices]
-    index = {label: vid for vid, label in enumerate(labels)}
     memo = {}
     for (vid, k), wid in mut_edges.items():
         (c, p), (target, q) = labels[vid], labels[wid]
@@ -203,13 +204,17 @@ def pattern_of(vertices, mut_edges, perm_edges, type_tag):
     for (vid, images), wid in perm_edges.items():
         c, p = labels[vid]
         assert labels[wid] == (c, tuple(p[i] for i in images)), (vid, images)
-    clusters = [patterns._Cluster(v.eps, v.C, v.Cdual, v.G, None, None, v.Fs)
-                for _, v in cones.values()]
-    P = ExchangePattern(labels, parents, index, memo, type_tag, None,
-                        clusters)
+    records = [patterns.Cone(v.eps, v.C, v.G, None, v.Cdual,
+                             parents[v.id] and (parents[v.id][0],
+                                                parents[v.id][1][1]), v.Fs)
+               for _, v in cones.values()]
+    for vid, (c, p) in enumerate(labels):
+        records[c].ids[p] = vid
+    P = ExchangePattern(labels, parents, memo, type_tag, None, records)
     P._slots[:] = vertices
-    for cluster, (_, v) in zip(clusters, cones.values()):
-        cluster.gens = intmat.transpose(walked_cone_matrix(P, v.id))
+    for cone in records:
+        cone.generators = intmat.transpose(
+            walked_cone_matrix(P, cone.vertex_id))
     return P
 
 
@@ -541,10 +546,10 @@ def test_matrices_suite_decides_duality_in_integers(monkeypatch):
     # a C^- that is still unimodular, but no longer the inverse of the
     # cone matrix, fails the duality on its cluster's vertices
     P = pattern_from_type("D4")
-    cluster = P._clusters[3]
-    Cdual = list(cluster.Cdual)
+    cone = P._cones[3]
+    Cdual = list(cone.inequalities)
     Cdual[1] = tuple(a + b for a, b in zip(Cdual[1], Cdual[0]))
-    cluster.Cdual = tuple(Cdual)
+    cone.inequalities = tuple(Cdual)
     [check] = checks.matrices(P, random.Random(0))
     assert not check.ok and "duality=False" in check.detail
 
@@ -899,3 +904,27 @@ def test_fan_rejects_a_cone_reached_from_no_earlier_cone():
         Q._parents[rep.vertex_id] = parent
         with pytest.raises(InternalConsistencyError, match="earlier cone"):
             Q.fan()
+
+
+def test_fan_rejects_a_representative_not_labeled_by_the_identity():
+    # a cone's record reads its first vertex's rows unpermuted, so a
+    # first vertex labeled by another member's permutation is a fault
+    P = pattern_from_type("B3")
+    rep, other = P._cones[5].members[:2]
+    P._labels[rep] = P._labels[other]
+    with pytest.raises(InternalConsistencyError, match="canonical seed"):
+        P.fan()
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_every_partial_fan_is_a_tree_of_cones_with_members(label):
+    # a cap can stop the build right after a mutation made a cluster and
+    # before its first vertex was added; that cluster has no cone
+    for cap in range(1, len(pattern_from_type(label))):
+        with pytest.raises(PatternBudgetError) as err:
+            pattern_from_type(label, cap=cap)
+        partial = err.value.partial
+        fan = partial.fan()
+        assert all(cone.members for cone in fan), cap
+        assert all(cone.vertex_id == min(cone.members) for cone in fan), cap
+        assert fan_tree_holds(partial), cap
