@@ -25,13 +25,13 @@ def trop_mutation(x, eps, k):
     """
     out = list(x)
     xk = x[k]
-    out[k] = -xk
     for i, row in enumerate(eps):
-        if i == k:
-            continue
-        e = row[k]
-        if e:
-            out[i] = x[i] - e * min(0, -_sgn(e) * xk)
+        e = row[k]  # eps_kk = 0, and entry k is set below
+        if e > 0:
+            out[i] = x[i] - e * min(0, -xk)
+        elif e:
+            out[i] = x[i] - e * min(0, xk)
+    out[k] = -xk
     return tuple(out)
 
 
@@ -39,21 +39,41 @@ def pos_mutation(X, eps, k):
     """Positive-real cluster transformation along mutation k.
 
     X'_k = 1/X_k,  X'_i = X_i * (1 + X_k^{-sgn eps_ik})^{-eps_ik}.
-    Exact for int and Fraction inputs (ints are promoted to Fraction so
-    that negative powers stay rational).
+    Exact for int and Fraction inputs: with X_k = a/b in lowest terms, an
+    exact X_i is multiplied by (a/(a+b))^e for e = eps_ik > 0 and by
+    ((a+b)/b)^-e for e < 0, one Fraction built from integers.  A float
+    X_k, or a float X_i, takes the expression above as it stands.
     """
     out = list(X)
     Xk = X[k]
-    if not isinstance(Xk, float):
+    if isinstance(Xk, float):
+        out[k] = 1 / Xk
+        # X_k ** -sgn(e), spelled as such: the float results stay the
+        # bits of the formula
+        for i, row in enumerate(eps):
+            e = row[k]
+            if e > 0:
+                out[i] = X[i] * (1 + Xk ** -1) ** -e
+            elif e:
+                out[i] = X[i] * (1 + Xk ** 1) ** -e
+        return tuple(out)
+    if not isinstance(Xk, Fraction):
         Xk = Fraction(Xk)
     out[k] = 1 / Xk
+    a, b = Xk.numerator, Xk.denominator
     for i, row in enumerate(eps):
-        if i == k:
-            continue
         e = row[k]
-        if e:
-            s = _sgn(e)
-            out[i] = X[i] * (1 + Xk ** (-s)) ** (-e)
+        if not e:
+            continue
+        Xi = X[i]
+        if not isinstance(Xi, (int, Fraction)):
+            out[i] = Xi * (1 + Xk ** (-1 if e > 0 else 1)) ** -e
+        elif e > 0:
+            out[i] = Fraction(Xi.numerator * a ** e,
+                              Xi.denominator * (a + b) ** e)
+        else:
+            out[i] = Fraction(Xi.numerator * (a + b) ** -e,
+                              Xi.denominator * b ** -e)
     return tuple(out)
 
 
@@ -65,17 +85,21 @@ def _softplus(t):
 
 
 def log_mutation(u, eps, k):
-    """pos_mutation conjugated by log: u = log X componentwise."""
+    """pos_mutation conjugated by log: u = log X componentwise,
+    u'_k = -u_k,  u'_i = u_i - eps_ik * softplus(-sgn(eps_ik) * u_k)."""
     out = list(u)
     uk = u[k]
-    out[k] = -uk
+    # softplus(-u_k) and softplus(u_k), as _softplus takes them
+    tail = math.log1p(math.exp(-abs(uk)))
+    down = -uk + tail if uk < 0 else tail
+    up = uk + tail if uk > 0 else tail
     for i, row in enumerate(eps):
-        if i == k:
-            continue
         e = row[k]
-        if e:
-            s = _sgn(e)
-            out[i] = u[i] - e * _softplus(-s * uk)
+        if e > 0:
+            out[i] = u[i] - e * down
+        elif e:
+            out[i] = u[i] - e * up
+    out[k] = -uk
     return tuple(out)
 
 

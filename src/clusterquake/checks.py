@@ -15,8 +15,8 @@ from . import intmat
 from .errors import BoundaryError, FloatRangeError
 from .horocycle import CentralCharge, conjugacy_residual, glue, \
     horocycle_flow
-from .points import TOL, PositivePoint, TropicalPoint, in_closed_cone, \
-    locate_cone
+from .points import TOL, PositivePoint, TropicalPoint, candidate_cones, \
+    in_closed_cone, locate_cone
 
 FAN_SAMPLES = 10_000
 ROUND_TRIPS = 1000
@@ -101,7 +101,8 @@ def fan(pattern, rng):
     for _ in range(FAN_SAMPLES):
         L = _tropical(pattern, rng, 10)
         closed = strict = 0
-        for cone in cones:
+        # a cone outside this set fails both tests (see candidate_cones)
+        for cone in candidate_cones(pattern, L.x):
             if in_closed_cone(cone.inequalities, L.x):
                 closed += 1
                 strict += min(intmat.matvec(cone.inequalities, L.x)) > TOL

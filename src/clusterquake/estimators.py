@@ -163,6 +163,7 @@ class EarthquakeTransformer:
         self._ids = np.array([cone.vertex_id for cone in fan])
         self._ineq = np.array([row for cone in fan for row in
                                cone.inequalities], dtype=float)[:, :, None]
+        self._rounding = n * np.abs(self._ineq).sum(axis=1).max() * 2.0 ** -52
         # (n, n, cones): column j of cone c's matrix is its generator j
         self._cmat = np.array([cone.generators for cone in fan],
                               dtype=float).transpose(2, 1, 0)
@@ -264,20 +265,43 @@ class EarthquakeTransformer:
                 if (pos >= 0).all():
                     break
             else:
-                missed = X[:, pos < 0]
-                finite = np.ones(missed.shape[1], bool)
-                for _, V in self._charts(missed):
-                    finite &= np.isfinite(V).all(axis=(0, 1))
-                if not finite.all():
-                    raise FloatRangeError(
-                        f"the inverse image of row "
-                        f"{missed[:, finite.argmin()].tolist()} leaves the "
-                        "float range")
-                raise HomeomorphismError(
-                    f"no chart of pattern {self.pattern_.type_tag!r} realizes "
-                    f"the inverse image of row {X[:, pos.argmin()].tolist()}")
+                self._nearest(X, pos, x)
             L = _mul(self._cmat[:, :, pos], x)
         return _finite(L, X, "inverse image").T
+
+    def _nearest(self, X, pos, x):
+        """Fill in pos and x for the columns of X that no chart takes
+        within TOL (pos < 0), or raise.  At large magnitudes the walk
+        down can round a coordinate that is about 0 to far below -TOL in
+        every chart.  Such a column takes the chart whose smallest
+        coordinate is largest, the first in fan order on a tie, when it
+        misses -TOL by at most the rounding allowance: n S 2^-52 (depth
+        + 1) max|column|, S the largest l1 norm of an inequality row."""
+        rows = np.flatnonzero(pos < 0)
+        missed = X[:, rows]
+        cols = np.arange(len(rows))
+        finite = np.ones(len(rows), bool)
+        low = np.full(len(rows), -np.inf)
+        for cones, V in self._charts(missed):
+            finite &= np.isfinite(V).all(axis=(0, 1))
+            coords = V - self._log_g0[cones, :, None]
+            least = coords.min(axis=1)
+            first = least.argmax(axis=0)
+            better = np.flatnonzero(least[first, cols] > low)
+            low[better] = least[first[better], better]
+            pos[rows[better]] = cones[first[better]]
+            x[:, rows[better]] = coords[first[better], :, better].T
+        if not finite.all():
+            row = missed[:, finite.argmin()].tolist()
+            raise FloatRangeError(
+                f"the inverse image of row {row} leaves the float range")
+        allowance = self._rounding * (self._depth[pos[rows]] + 1) \
+            * np.abs(missed).max(axis=0)
+        far = low < -TOL - allowance
+        if far.any():
+            raise HomeomorphismError(
+                f"no chart of pattern {self.pattern_.type_tag!r} realizes "
+                f"the inverse image of row {missed[:, far.argmax()].tolist()}")
 
     def transform(self, X):
         """Rows of log X(quake(g0, L)) for each tropical point row L."""

@@ -187,6 +187,12 @@ def _f_polynomials(cones, labels, c):
     return path[0].Fs
 
 
+class OrthantIndex(NamedTuple):
+    buckets: dict  # sign key -> the cones of that closed orthant
+    reach: int  # largest l1 norm of a row of a cone's generator matrix
+    spread: int  # largest l1 norm of a row of a cone's inequalities
+
+
 class BasedMatrices(NamedTuple):
     C: intmat.IntMatrix  # C^s_{v->v0}
     Fs: tuple  # F-polynomials from v to v0
@@ -526,6 +532,39 @@ class ExchangePattern:
             self._fan_s = time.process_time() - start
         return self._fan
 
+    @cached_property
+    def orthants(self):
+        """The fan indexed by orthant, built on first read and kept: an
+        OrthantIndex whose buckets map a sign key (True for a positive
+        coordinate) to the cones of that closed orthant, in fan order.
+
+        By sign-coherence of c-vectors, row i of a cone's generator
+        matrix C^s_{v->v0} has one sign s_i, so the cone lies in the
+        orthant s_i * x_i >= 0.  Each cone is checked here, exactly: its
+        generator rows are sign-coherent and its inequalities times its
+        generators are the identity.  reach is the largest l1 norm of a
+        generator-matrix row, spread the largest of a C^- row."""
+        ident = intmat.identity(self.n)
+        buckets = {}
+        reach = spread = 0
+        for cone in self.fan():
+            # the rows of C^s_{v->v0} are c-vectors: _row_sign raises
+            # for one that is not sign-coherent
+            rows = tuple(zip(*cone.generators))
+            key = tuple(_row_sign(row) > 0 for row in rows)
+            if tuple(tuple(sum(map(mul, r, g)) for g in cone.generators)
+                     for r in cone.inequalities) != ident:
+                raise InternalConsistencyError(
+                    f"cone {cone.vertex_id}: its inequalities are not the "
+                    "inverse of its generators")
+            buckets.setdefault(key, []).append(cone)
+            reach = max(reach, *(sum(map(abs, row)) for row in rows))
+            spread = max(spread, *(sum(map(abs, row))
+                                   for row in cone.inequalities))
+        return OrthantIndex({key: tuple(cones)
+                             for key, cones in buckets.items()},
+                            reach, spread)
+
     def ray(self, vid, k):
         """Base-chart coordinates of the k-th cone generator of vertex vid."""
         return self._generators(vid)[k]
@@ -536,11 +575,14 @@ class ExchangePattern:
     def stats(self):
         """Counts, CPU seconds per phase and cache sizes, as a dict.
 
-        Builds the fan if it has not been built.  `vertex_cache` counts
-        the vertices built so far, and `f_clusters` the clusters whose
-        F-polynomials are built (the base's from the start).  The edges are
+        Builds the fan and its orthant index if they have not been built.
+        `vertex_cache` counts the vertices built so far, and `f_clusters`
+        the clusters whose F-polynomials are built (the base's from the
+        start).  `orthants` counts the orthants that hold a cone, and
+        `orthant_max` the cones of the fullest one.  The edges are
         counted off the memo, with no edge map and no vertex built."""
         fan = self.fan()
+        buckets = self.orthants.buckets
         return {
             "vertices": len(self),
             "clusters": len(self._cones),
@@ -552,6 +594,8 @@ class ExchangePattern:
             "based_cache": len(self._based_cache),
             "f_clusters": sum(cone.Fs is not None for cone in self._cones),
             "vertex_cache": len(self._slots) - self._slots.count(None),
+            "orthants": len(buckets),
+            "orthant_max": max(map(len, buckets.values())),
         }
 
     # -- serialization --------------------------------------------------------

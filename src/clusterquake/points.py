@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import gt, mul
 from typing import NamedTuple
 
 from . import _steps, intmat
@@ -116,6 +117,48 @@ def in_closed_cone(inequalities, x0):
     return True
 
 
+# TOL, rounded up far enough that reach * _TOL_UP >= reach * TOL exactly
+_TOL_UP = TOL * (1 + 2 ** -50)
+_EXACT = frozenset((int, Fraction))
+_REAL = _EXACT | {float}
+
+
+def candidate_cones(P: ExchangePattern, x0):
+    """The cones of P's fan that can contain the base-chart point x0
+    within TOL, in fan order: the cones of x0's closed orthant, or the
+    whole fan.
+
+    Every cone lies in one closed orthant (ExchangePattern.orthants).  A
+    cone that passes in_closed_cone has coordinates lambda = C^- x0 of at
+    least -TOL - delta, delta bounding the rounding of those sums: 0 for
+    int and Fraction coordinates, 2n 2^-52 S max|x0_j| once one is a
+    float, with S the index's spread.  Since x0 = K lambda, where each
+    row of the generator matrix K has one sign and an l1 norm of at most
+    R (the index's reach), a cone on the far side of coordinate i
+    reaches x0_i only within R (TOL + delta).  So when every |x0_i|
+    exceeds that bound, only the cones of sign(x0) can pass.  The whole
+    fan is returned for a point nearer a coordinate wall, for other
+    number types, and for floats where S max|x0_j| reaches 2^1023, as
+    those sums may then overflow and delta bounds nothing."""
+    index = P.orthants
+    kinds = set(map(type, x0))
+    size = tuple(map(abs, x0))
+    if kinds <= _EXACT:
+        margin = index.reach * _TOL_UP
+    elif kinds <= _REAL:
+        # S max|x0_j| bounds every product and partial sum of C^- x0;
+        # below 2^1023 none of them overflows, and delta holds
+        top = index.spread * max(size)
+        if not top < 2.0 ** 1023:
+            return P.fan()
+        margin = index.reach * (_TOL_UP + len(x0) * 2 ** -51 * top)
+    else:
+        return P.fan()
+    if min(size) > margin:
+        return index.buckets.get(tuple(map(gt, x0, repeat(0))), ())
+    return P.fan()
+
+
 def locate_cone(L: TropicalPoint, P: ExchangePattern) -> LocatedCone:
     """Smallest vertex id whose closed cone contains L (within TOL), with
     L's coordinates in that vertex's chart.
@@ -124,10 +167,11 @@ def locate_cone(L: TropicalPoint, P: ExchangePattern) -> LocatedCone:
     iff C^s_{v->v0}^{-1} x^(v0)(L) is componentwise non-negative, and that
     vector is exactly x^(v)(L).  Exact for int/Fraction coordinates.
     Only cone representatives are scanned, in fan order: a relabeled
-    member of a cone has a larger id and passes the same test.
+    member of a cone has a larger id and passes the same test.  Of those,
+    only candidate_cones are tried, which gives the same cone.
     """
     x0 = tropical_transport(L, P, P.base).x
-    for cone in P.fan():
+    for cone in candidate_cones(P, x0):
         if in_closed_cone(cone.inequalities, x0):
             v = cone.vertex_id
             lam = intmat.matvec(cone.inequalities, x0)

@@ -301,6 +301,7 @@ def test_enumerate_stats_go_to_stderr(capsys):
     assert stats["clusters"] == 20
     assert stats["vertex_cache"] == 40  # enumerate prints every vertex
     assert stats["f_clusters"] == 20  # and so reads every cluster's F
+    assert stats["orthants"] == 8 and stats["orthant_max"] == 7
     assert "cone_cache" not in stats
 
 

@@ -9,6 +9,7 @@ from clusterquake import (
     CoordinateError,
     EarthquakeTransformer,
     FloatRangeError,
+    HomeomorphismError,
     InternalConsistencyError,
     PositivePoint,
     PreconditionError,
@@ -281,6 +282,31 @@ def test_inverse_image_past_float_range_is_a_typed_error(capfd, label, g0,
     with pytest.raises(FloatRangeError, match=r"inverse image of row \["):
         est.inverse_transform([[0.5] * len(row), row])
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("row", [[-4.5e100, 4.5e100], [-1.5e300, 1.5e300]])
+def test_inverse_transform_of_large_rows_round_trips(row):
+    # rounding puts chart 7's first coordinate near -7.8e84 for the first
+    # row, where it should be about 2.64: below -TOL in every chart, so
+    # the row raised HomeomorphismError; it now takes the nearest chart
+    est = EarthquakeTransformer("G2").fit()
+    back = est.transform(est.inverse_transform([[0.5, 1.0], row]))
+    assert np.abs(back[1] - row).max() <= 1e-12 * np.abs(row).max()
+
+
+def test_inverse_transform_without_the_chart_still_raises():
+    # with its deepest tree level dropped the fan misses the cones there;
+    # a row that only they realize is beyond the rounding allowance
+    est = EarthquakeTransformer("A2").fit()
+    last = est.pattern_.fan()[-1]
+    L = [[float(sum(c)) for c in zip(*last.generators)]]
+    assert est.predict(L)[0] == last.vertex_id
+    assert est._depth[-1] == len(est._levels)
+    row = est.transform(L)[0]
+    est._levels = est._levels[:-1]
+    with pytest.raises(HomeomorphismError, match=r"realizes the inverse "
+                       r"image of row \[-?\d"):
+        est.inverse_transform([[0.5, 1.0], row])
 
 
 def test_fit_builds_no_vertex():

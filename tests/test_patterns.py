@@ -722,6 +722,8 @@ def test_stats():
     # the fan reads its cones off the clusters: no vertex, no F built
     assert stats["based_cache"] == 0 and stats["vertex_cache"] == 0
     assert stats["f_clusters"] == 1
+    # D4's 50 cones fill all 16 orthants; the fullest holds 15
+    assert stats["orthants"] == 16 and stats["orthant_max"] == 15
     # vertex 7 is not its cluster's first, which walks the route for it
     assert 7 not in {c.vertex_id for c in P.fan()}
     P.based_matrices(7)
@@ -928,3 +930,27 @@ def test_every_partial_fan_is_a_tree_of_cones_with_members(label):
         assert all(cone.members for cone in fan), cap
         assert all(cone.vertex_id == min(cone.members) for cone in fan), cap
         assert fan_tree_holds(partial), cap
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES + ["A5", "D5", "B5"])
+def test_orthant_index_buckets_every_cone_by_its_generator_signs(label):
+    P = pattern_from_type(label)
+    P.fan()
+    assert "orthants" not in vars(P)  # the fan does not build the index
+    index = P.orthants
+    rows = {id(cone): list(zip(*cone.generators)) for cone in P.fan()}
+    for key, cones in index.buckets.items():
+        for cone in cones:
+            for pos, row in zip(key, rows[id(cone)]):
+                assert all(x >= 0 if pos else x <= 0 for x in row) and any(row)
+    # each cone in one bucket, each bucket in fan order
+    order = {id(cone): i for i, cone in enumerate(P.fan())}
+    assert sorted(order[id(c)] for b in index.buckets.values() for c in b) \
+        == list(range(len(P.fan())))
+    for cones in index.buckets.values():
+        assert [order[id(c)] for c in cones] == sorted(order[id(c)]
+                                                        for c in cones)
+    assert index.reach == max(sum(map(abs, row)) for r in rows.values()
+                              for row in r)
+    assert index.spread == max(sum(map(abs, row)) for cone in P.fan()
+                               for row in cone.inequalities)

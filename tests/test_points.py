@@ -336,3 +336,124 @@ def test_fan_suite_counts_match_full_scan(monkeypatch):
     assert check == checks.Check(
         "fan", True, f"cones={len(P.fan())} complete+disjoint on 200 samples")
     assert rng.getstate() == want.getstate()
+
+
+LOCATE_TYPES = ENUMERATE_TYPES + ["A5", "D5", "B5"]
+
+
+def _as_kind(c, kind):
+    """The float c as a float, an int (rounded) or a Fraction (exact)."""
+    if kind == "float":
+        return c
+    return round(c) if kind == "int" else Fraction(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(LOCATE_TYPES), st.integers(-7, 300),
+       st.lists(st.tuples(st.booleans(), st.floats(0, 9),
+                          st.sampled_from(["float", "int", "fraction"])),
+                min_size=5, max_size=5),
+       st.integers(0, 4), st.floats(0, 1), st.integers(0, 9 ** 4))
+def test_orthant_and_full_scan_branches_match_the_oracle(
+        label, e, coords, wall, share, chart_seed):
+    # every example puts one point on each branch of candidate_cones: a
+    # point whose coordinates share one magnitude, at least 1e-7, clears
+    # R (TOL + delta) in every coordinate; moved to within R TOL of a
+    # coordinate wall (0 included) it does not
+    P = _pattern(label)
+    n = P.n
+    # below 1 an int would round to 0: a Fraction stands in for it
+    x = [_as_kind((-1) ** neg * 10.0 ** e * (1 + f),
+                  "fraction" if kind == "int" and e < 0 else kind)
+         for neg, f, kind in coords[:n]]
+    near = list(x)
+    bound = P.orthants.reach * TOL
+    near[wall % n] = _as_kind(
+        (-1) ** (chart_seed % 2) * bound * share, coords[wall % n][2])
+    for y, full in ((x, False), (near, True)):
+        L = TropicalPoint(P.base, y)
+        assert (points.candidate_cones(P, L.x) is P.fan()) is full
+        assert tuple(locate_cone(L, P)) == locate_scan_oracle(L, P)
+        moved = tropical_transport(L, P, chart_seed % len(P))
+        assert tuple(locate_cone(moved, P)) == locate_scan_oracle(moved, P)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(LOCATE_TYPES),
+       st.lists(st.tuples(st.floats(-1, 1), st.integers(-300, 300),
+                          st.sampled_from(["float", "int", "fraction"])),
+                min_size=5, max_size=5),
+       st.integers(0, 2 ** 32))
+def test_locate_matches_full_scan_on_mixed_numbers_and_magnitudes(
+        label, coords, seed):
+    # each coordinate has its own magnitude, 1e-300 to 1e300, and its own
+    # type: float, int or Fraction, mixed within one point
+    P = _pattern(label)
+    L = TropicalPoint(P.base, [_as_kind(c * 10.0 ** e, kind)
+                               for c, e, kind in coords[:P.n]])
+    assert tuple(locate_cone(L, P)) == locate_scan_oracle(L, P)
+    moved = tropical_transport(L, P, seed % len(P))
+    assert tuple(locate_cone(moved, P)) == locate_scan_oracle(moved, P)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(LOCATE_TYPES), st.integers(0, 2 ** 32),
+       st.lists(st.integers(-2, 3), min_size=5, max_size=5),
+       st.sampled_from([1, 10.0 ** -300, 1e-9, 1e150, 10.0 ** 300,
+                        Fraction(1, 10 ** 12)]))
+def test_locate_matches_full_scan_on_walls(label, pick, weights, size):
+    # integer combinations of one cone's generators: weights 0 put the
+    # point on a wall or face of that cone, negative ones outside it
+    P = _pattern(label)
+    cone = P.fan()[pick % len(P.fan())]
+    x = [sum(w * g[i] for w, g in zip(weights, cone.generators)) * size
+         for i in range(P.n)]
+    L = TropicalPoint(P.base, x)
+    assert tuple(locate_cone(L, P)) == locate_scan_oracle(L, P)
+
+
+@pytest.mark.parametrize("x", [
+    (2e12, -2e12, -9.161328993855695e-09, 3e12, -3e12),
+    (1e14, -1e14, -5.450269694461005e-05, 2e14, -2e14),
+    (1e18, -1e18, -0.04140314677491943, 3e18, -3e18)])
+def test_rounding_can_put_a_point_in_a_cone_of_another_orthant(x):
+    # coordinate 2 is far beyond R TOL on the negative side, but the
+    # float sums of C^- x lose it beside the large coordinates, and the
+    # first cone to pass lies in the orthant x_2 >= 0: delta, the bound on
+    # that rounding, sends these points to the full scan
+    P = _pattern("A5")
+    L = TropicalPoint(P.base, x)
+    assert abs(x[2]) > P.orthants.reach * TOL
+    assert points.candidate_cones(P, L.x) is P.fan()
+    located = locate_cone(L, P)
+    assert tuple(located) == locate_scan_oracle(L, P)
+    cone = next(c for c in P.fan() if c.vertex_id == located.vertex)
+    assert min(g[2] for g in cone.generators) >= 0
+
+
+@pytest.mark.parametrize("size, full", [(1e307, False), (2e307, True),
+                                        (1.7e308, True)])
+def test_points_near_the_float_maximum_take_the_full_scan(size, full):
+    # B3's C^- rows have l1 norm up to S = 5: past 2^1023 / S a sum of
+    # C^- x0 may overflow, and rounding no longer bounds its error
+    P = _pattern("B3")
+    assert P.orthants.spread == 5
+    L = TropicalPoint(P.base, (size, -size, size))
+    assert (points.candidate_cones(P, L.x) is P.fan()) is full
+    assert tuple(locate_cone(L, P)) == locate_scan_oracle(L, P)
+
+
+@pytest.mark.parametrize("mutant", ["inequalities", "generators"])
+def test_fan_suite_raises_on_a_cone_record_that_disagrees(mutant):
+    # the suite tries only the cones of a sample's orthant; a record whose
+    # generators and inequalities disagree is an error, not a cone that
+    # a sample might skip
+    P = cq.pattern_from_type("B3")
+    cone, other = P.fan()[7], P.fan()[8]
+    if mutant == "inequalities":
+        cone.inequalities = other.inequalities
+    else:
+        cone.generators = (tuple(-c for c in cone.generators[0]),) \
+            + cone.generators[1:]
+    with pytest.raises(cq.InternalConsistencyError):
+        checks.fan(P, random.Random(0))
