@@ -137,18 +137,18 @@ def inverse_quake(P: ExchangePattern, g0: PositivePoint,
     are moved to the base chart once; each cone's pair of coordinates is
     then one mutation of its parent cone's pair, which was tried before.
     """
-    pairs = {P.base: (P.walk(g.X, g.chart, P.base, _pos_step),
-                      P.walk(g0.X, g0.chart, P.base, _pos_step))}
-    eps = {}
-    for cone in P.fan():
-        v = cone.vertex_id
-        eps[v] = cone.eps.entries
+    fan = P.fan()
+    # pairs[i] holds the pair in the chart of fan[i]
+    pairs = [tuple(P.walk(h.X, h.chart, P.base, _pos_step) for h in (g, g0))]
+    for i, cone in enumerate(fan):
         if cone.parent is not None:
             w, k = cone.parent
-            pairs[v] = tuple(_pos_step(X, eps[w], k) for X in pairs[w])
-        x = _log_ratios(*pairs[v])
+            pairs.append(tuple(_pos_step(X, fan[w].eps.entries, k)
+                               for X in pairs[w]))
+        x = _log_ratios(*pairs[i])
         if all(c >= -TOL for c in x):
-            return tropical_transport(TropicalPoint(v, x), P, P.base)
+            return tropical_transport(TropicalPoint(cone.vertex_id, x), P,
+                                      P.base)
     raise HomeomorphismError(
         "no chart realizes the inverse earthquake image; the fan is "
         "probably not complete (non-finite-type input?)")

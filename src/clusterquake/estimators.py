@@ -134,15 +134,13 @@ class EarthquakeTransformer:
         # parent[i], with column k[i] of eps at the parent going down and
         # at cone i going up, split into positive and negative parts
         fan = P.fan()
-        position = {cone.vertex_id: i for i, cone in enumerate(fan)}
         m = len(fan)
         self._parent, self._k = np.zeros(m, int), np.zeros(m, int)
         self._depth = depth = np.zeros(m, int)
         down, up = np.zeros((m, n)), np.zeros((m, n))
         for i, cone in enumerate(fan[1:], 1):
-            w, k = cone.parent
-            p = self._parent[i] = position[w]
-            self._k[i], depth[i] = k, depth[p] + 1
+            p, k = cone.parent
+            self._parent[i], self._k[i], depth[i] = p, k, depth[p] + 1
             down[i] = [row[k] for row in fan[p].eps.entries]
             up[i] = [row[k] for row in cone.eps.entries]
         if (np.diff(depth) < 0).any():
@@ -218,6 +216,8 @@ class EarthquakeTransformer:
         pos = hit.argmax(axis=0)
         missed = ~hit[pos, rows]
         if missed.any():
+            # no cone can be told to take a row whose sums overflow
+            _finite(np.vstack(lam[..., missed]), X[:, missed], "cone test")
             raise CompletenessError(
                 f"no cone of pattern {self.pattern_.type_tag!r} takes row "
                 f"{X[:, missed.argmax()].tolist()}")

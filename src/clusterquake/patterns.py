@@ -14,12 +14,15 @@ G-matrix and its cone generators, each stepped from its parent cone by
 an integer one-step recursion.  Its F-polynomials are not built with it:
 the first read of a cluster's F mutates them down from the nearest
 ancestor that has them, and keeps them, so the build, the fan and point
-location build none.  No edge is stored either: the per-cluster mutation
-memo and the records fix every labeled edge, and the pattern reads an
-edge's far end off them (ExchangePattern.neighbor).  fan() returns the
-records.  The pattern object then answers the derived questions:
-tropical signs, cones and the fan, the based matrices, FuGy identity,
-F*C products.
+location build none.  No labeled edge is stored either: the records
+form the cluster-level exchange graph, each holding its parent's
+position in the record list and its landings, the cluster and
+relabeling that each mutation reaches.  They fix every labeled edge, and
+the pattern reads an edge's far end off them (ExchangePattern.neighbor).
+A record's position in the list is its cluster id and its position in
+fan(), which returns the records.  The pattern object then answers the
+derived questions: tropical signs, cones and the fan, the based
+matrices, FuGy identity, F*C products.
 
 Conventions (all 0-based):
   * C-matrix rows are c-vectors; C^s_{v0->v} linearizes the tropical
@@ -139,7 +142,7 @@ class PatternVertex:
             raise AttributeError(name)
         cones, labels = self.f_source
         c, p = labels[self.id]
-        Fs = tuple(map(_f_polynomials(cones, labels, c).__getitem__, p))
+        Fs = tuple(map(_f_polynomials(cones, c).__getitem__, p))
         object.__setattr__(self, "Fs", Fs)
         return Fs
 
@@ -148,19 +151,27 @@ class PatternVertex:
 class Cone:
     """One cluster and its maximal cone of the fan, in base-chart
     coordinates: the record enumerate_pattern makes when it first reaches
-    the cluster, by one mutation from its parent cone.
+    the cluster, by one mutation from its parent cone.  The records are
+    kept in the order they are made, and a record's place in that list
+    is its cluster id and its position in fan().
 
     It holds the cluster's canonical seed, in the labeling of that first
     vertex, and ids, {label p: vertex id} for the cluster's labeled seeds
-    in id order; the first vertex carries the identity label.  Fs stays
-    None until _f_polynomials builds it."""
+    in id order; the first vertex carries the identity label.  The
+    records form the cluster-level exchange graph: parent is (parent
+    cone's position, direction), a smaller position, and landings[q] is
+    (position, tau) for the cluster that mutation q reaches, row i of the
+    landed seed being row tau[i] of that cluster's canonical seed, or None
+    while that mutation has not been made.  Fs stays None until
+    _f_polynomials builds it."""
 
     eps: ExchangeMatrix
     C: intmat.IntMatrix
     G: intmat.IntMatrix
     generators: tuple  # columns of C^s_{v->v0}
     inequalities: tuple  # rows of C^{-s}_{v0->v}: >= 0 exactly on the cone
-    parent: tuple | None  # (parent cone's vertex id, direction); None at base
+    parent: tuple | None  # (parent cone's position, direction); None at base
+    landings: list  # direction -> (position, tau), or None
     Fs: tuple | None = None
     ids: dict = field(default_factory=dict)
 
@@ -175,13 +186,13 @@ class Cone:
         return tuple(self.ids.values())
 
 
-def _f_polynomials(cones, labels, c):
+def _f_polynomials(cones, c):
     """The F-polynomials of cones[c], built on first read: one mutate_F
     for each cone between it and its nearest ancestor that has them, each
-    kept.  A cone's parent is the cone of its parent vertex's label."""
+    kept."""
     path = [cones[c]]
     while path[-1].Fs is None:
-        path.append(cones[labels[path[-1].parent[0]][0]])
+        path.append(cones[path[-1].parent[0]])
     for parent, cone in zip(path[::-1], path[-2::-1]):
         cone.Fs = mutate_F(parent.Fs, parent.C, parent.eps, cone.parent[1])
     return path[0].Fs
@@ -209,14 +220,11 @@ class ExchangePattern:
     cone's generator p[i]; that record maps p back to vid.  The
     PatternVertex is built from there the first time it is read and kept
     in its slot.  No edge is stored: neighbor() reads an edge's far end
-    off the cluster memo (cluster id, direction) -> (cluster id, tau) and
-    the records.  The pattern owns the lists and maps it is given."""
+    off the records' landings.  The pattern owns the lists it is given."""
 
-    def __init__(self, labels, parents, memo, type_tag, cap, cones,
-                 bfs_s=None):
+    def __init__(self, labels, parents, type_tag, cap, cones, bfs_s=None):
         self._labels = labels
         self._parents = parents
-        self._memo = memo
         self._cones = cones
         self._slots = [None] * len(labels)
         self.eps0 = cones[0].eps
@@ -253,12 +261,18 @@ class ExchangePattern:
     def __len__(self):
         return len(self._slots)
 
+    def _label(self, vid):
+        """The label (cluster id, p) of vertex vid; PreconditionError when
+        vid is not an id in range(len(self))."""
+        if 0 <= vid < len(self._labels):
+            return self._labels[vid]
+        raise PreconditionError(f"vertex id {vid} not in range({len(self)})")
+
     def _build(self, vid):
         """The PatternVertex of an empty slot: its cone's canonical seed
         with the rows permuted by its label.  Fs is left unset, to be read
         from the cone on first access (see PatternVertex)."""
-        vid %= len(self._slots)
-        c, p = self._labels[vid]
+        c, p = self._label(vid)
         cone = self._cones[c]
         e = cone.eps.entries
         C, Cdual, G = (tuple(map(m.__getitem__, p))
@@ -274,14 +288,14 @@ class ExchangePattern:
         return v
 
     def vertex(self, vid) -> PatternVertex:
-        return self._slots[vid] or self._build(vid)
+        # a slot read would wrap a negative vid: _build raises for it
+        return 0 <= vid < len(self) and self._slots[vid] or self._build(vid)
 
     def neighbor(self, vid, edge):
         """The vertex at the other end of edge, ("mu", k) or ("perm",
-        images), from vertex vid, read off the cluster memo and the cone
-        records.  Raises PreconditionError when vid is not an id in
-        range(len(self)), edge is not an edge label, or the edge leaves a
-        partial pattern."""
+        images), from vertex vid, read off the cone records.  Raises
+        PreconditionError when vid is not an id in range(len(self)), edge
+        is not an edge label, or the edge leaves a partial pattern."""
         if 0 <= vid < len(self) and edge in self._edge_labels:
             wid = self._far_end(vid, edge)
             if wid is not None:
@@ -294,12 +308,12 @@ class ExchangePattern:
         where the edge leaves a partial pattern.  Vertex (c, p) relabels by
         images to (c, p o images), and mutates in direction k as cluster c
         does in direction p[k]: to (c', tau o p), with (c', tau) the
-        memo's landing, as enumerate_pattern steps."""
+        landing cones[c].landings[p[k]], as enumerate_pattern steps."""
         c, p = self._labels[vid]
         if edge[0] == "perm":
             return self._cones[c].ids.get(tuple(map(p.__getitem__, edge[1])))
-        # a landing not yet in the memo leads to no label
-        c, tau = self._memo.get((c, p[edge[1]]), (c, None))
+        # a mutation not yet made leads to no label
+        c, tau = self._cones[c].landings[p[edge[1]]] or (c, None)
         return tau and self._cones[c].ids.get(tuple(map(tau.__getitem__, p)))
 
     def _edges(self, kind):
@@ -376,7 +390,7 @@ class ExchangePattern:
 
     def _generators(self, vid):
         """The cone generators of vid (the columns of cone_matrix(vid))."""
-        c, p = self._labels[vid]
+        c, p = self._label(vid)
         return tuple(map(self._cones[c].generators.__getitem__, p))
 
     def cone_matrix(self, vid):
@@ -401,7 +415,7 @@ class ExchangePattern:
         based = self._based_cache.get(vid)
         if based is not None:
             return based
-        c, p = self._labels[vid]
+        c, p = self._label(vid)
         rep = self._cones[c].vertex_id
         if rep == vid:
             d = self.d
@@ -495,9 +509,13 @@ class ExchangePattern:
     # -- fan -----------------------------------------------------------------
 
     def fan(self):
-        """Maximal cones, one Cone record per cluster, in vertex-id order
-        of their first vertices; a cluster made just before the cap
-        stopped the build has no vertex and no cone.
+        """Maximal cones, one Cone record per cluster, in cluster-id order,
+        which is the vertex-id order of their first vertices; a cluster
+        made just before the cap stopped the build, always the last, has
+        no vertex and no cone.  So a cone's position in the fan is its
+        cluster id, which the labels of the first vertices confirm: a
+        record with no vertex before the last would shift the positions
+        after it.
 
         The vertices of one cluster share its cone, and distinct clusters
         of a finite type have distinct cones; a cone's generators and
@@ -506,28 +524,25 @@ class ExchangePattern:
         tree: a cluster is made by a mutation of its parent cluster's
         first vertex, which the BFS pops before any other member, and its
         own first vertex is reached by that edge.  So one pass in fan
-        order can carry a point from each cone's parent to the cone by
-        one mutation."""
+        order can carry a point from each cone's parent, at
+        fan()[cone.parent[0]], to the cone by one mutation."""
         if self._fan is None:
             start = time.process_time()
             fan = tuple(cone for cone in self._cones if cone.ids)
             ident = tuple(range(self.n))
-            reps = set()
             for c, cone in enumerate(fan):
                 rep = cone.vertex_id
                 if self._labels[rep] != (c, ident):
                     raise InternalConsistencyError(
                         f"cone {rep} is labeled {self._labels[rep]}, not as "
                         f"the canonical seed of cluster {c}")
-                parent = self._parents[rep]
-                if parent is not None:
-                    pid, edge = parent
-                    if (edge[0] != "mu" or pid not in reps
-                            or cone.parent != (pid, edge[1])):
-                        raise InternalConsistencyError(
-                            f"cone {rep} is reached by {edge} from vertex "
-                            f"{pid}, not by a mutation from an earlier cone")
-                reps.add(rep)
+                # the first vertex of fan[up], an earlier cone, is checked
+                up, k = cone.parent or (0, None)
+                if c and not (up < c and self._parents[rep]
+                              == (fan[up].vertex_id, ("mu", k))):
+                    raise InternalConsistencyError(
+                        f"cone {rep} is reached by {self._parents[rep]}, not "
+                        "by a mutation from an earlier cone")
             self._fan = fan
             self._fan_s = time.process_time() - start
         return self._fan
@@ -580,7 +595,7 @@ class ExchangePattern:
         the clusters whose F-polynomials are built (the base's from the
         start).  `orthants` counts the orthants that hold a cone, and
         `orthant_max` the cones of the fullest one.  The edges are
-        counted off the memo, with no edge map and no vertex built."""
+        counted off the landings, with no edge map and no vertex built."""
         fan = self.fan()
         buckets = self.orthants.buckets
         return {
@@ -610,8 +625,8 @@ class ExchangePattern:
                 "G": [list(r) for r in v.G],
                 "F": [f.to_records() for f in v.Fs],
             })
-        # an edge is known at both ends (the memo holds each landing with
-        # its inverse): list it from its smaller one
+        # an edge is known at both ends (the landings hold each mutation
+        # with its inverse): list it from its smaller one
         edges = [{"src": vid, "dst": wid, "kind": "mutation", "k": k}
                  for vid, k, wid in self._edges("mu") if vid < wid]
         edges += [{"src": vid, "dst": wid, "kind": "relabel",
@@ -679,13 +694,14 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     with relabeling, so the exact mutation of eps and C runs once per
     cluster edge, and that of C^-, G and the cone generators once per
     new cluster; F is left to the first read (see _f_polynomials).  The
-    landing is memoised as (cluster', tau) with row i of the landed seed
-    equal to row tau[i] of the canonical seed of cluster' (clusters are
-    keyed by their set of c-vectors); a labeled step (cluster, p) ->
-    (cluster', tau o p) is then tuple arithmetic.  A new cluster is only
-    ever made from the first vertex of its parent cluster, which carries
-    the identity label and is the first of its cluster to be popped, so
-    the new cluster's first vertex is labeled by the identity as well.
+    landing is kept at both ends, in the records' landings, as (cluster',
+    tau) with row i of the landed seed equal to row tau[i] of the
+    canonical seed of cluster' (clusters are keyed by their set of
+    c-vectors); a labeled step (cluster, p) -> (cluster', tau o p) is then
+    tuple arithmetic.  A new cluster is only ever made from the first
+    vertex of its parent cluster, which carries the identity label and is
+    the first of its cluster to be popped, so the new cluster's first
+    vertex is labeled by the identity as well.
 
     Raises NotFiniteTypeError at the first exchange matrix that shows the
     class is not of finite type, and PatternBudgetError when the vertex
@@ -701,7 +717,6 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     ident = tuple(range(n))
     cones = []  # cluster id -> Cone
     cluster_of = {}  # frozenset of c-vectors -> cluster id
-    memo = {}  # (cluster id, direction) -> (cluster id, tau)
     labels = []  # vid -> (cluster id, p)
     parents = []  # vid -> (BFS parent id, edge); None at the base
     # one tuple per edge label, shared by every tree edge that takes it
@@ -710,7 +725,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                   for s in eps0.admissible_transpositions()]
 
     def pattern_so_far():
-        return ExchangePattern(labels, parents, memo, type_tag, cap, cones,
+        return ExchangePattern(labels, parents, type_tag, cap, cones,
                                bfs_s=time.process_time() - start)
 
     def new_cone(cone):
@@ -724,7 +739,8 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         return len(cones) - 1
 
     def mutate(c, q):
-        """(cluster', tau) reached from cluster c by mutation q, memoised."""
+        """(cluster', tau) reached from cluster c by mutation q, kept in
+        the landings at both ends."""
         src = cones[c]
         eps = src.eps.mutate(q)
         C = mutate_c_matrix(src.C, src.eps, q)
@@ -735,7 +751,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                 mutate_generators(src.generators, src.inequalities,
                                   src.eps, q),
                 mutate_c_matrix(src.inequalities, -src.eps, q),
-                (src.vertex_id, q)))
+                (c, q), [None] * n))
             tau = ident
         else:
             tau = _landing_perm(cones[target], C)
@@ -744,12 +760,10 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                     f"mutation {q} of cluster {c} lands in cluster {target} "
                     f"by the relabeling {tau}, which does not carry its "
                     "canonical seed to the landed one")
-        inverse = [0] * n
-        for i, t in enumerate(tau):
-            inverse[t] = i
-        # mutation is an involution: cluster' by tau[q] returns to c
-        memo[(c, q)] = (target, tau)
-        memo[(target, tau[q])] = (c, tuple(inverse))
+        # mutation is an involution: cluster' by tau[q] returns to c, by
+        # the inverse of tau
+        src.landings[q] = target, tau
+        cones[target].landings[tau[q]] = c, tuple(map(tau.index, ident))
         return target, tau
 
     def add(c, p, parent):
@@ -764,7 +778,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         cones[c].ids[p] = vid
 
     ident_m = intmat.identity(n)
-    new_cone(Cone(eps0, ident_m, ident_m, ident_m, ident_m, None,
+    new_cone(Cone(eps0, ident_m, ident_m, ident_m, ident_m, None, [None] * n,
                   tuple(FPolynomial.constant(n) for _ in range(n))))
     add(0, ident, None)
     # labels is the queue: vertices are popped in id order, as added
@@ -784,7 +798,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         # the far ends' labels, as ExchangePattern._far_end makes them; one
         # already in its cone's ids is an edge already found
         for k, step in mu_steps:
-            target, tau = memo.get((c, p[k])) or mutate(c, p[k])
+            target, tau = cones[c].landings[p[k]] or mutate(c, p[k])
             q = tuple(map(tau.__getitem__, p))
             if q not in cones[target].ids:
                 add(target, q, (vid, step))

@@ -80,18 +80,31 @@ class LocatedCone(NamedTuple):
     x: tuple  # the point's coordinates in the chart of vertex
 
 
+def _transport(start, coords, P, target, step):
+    """The point of start's type at chart target whose coordinates are
+    coords, start's, walked there by step; FloatRangeError when a float
+    coordinate leaves the float range on the way: the constructor rejects
+    one at inf, nan or 0, and a float power or division raises."""
+    try:
+        return type(start)(target, P.walk(coords, start.chart, target, step))
+    except (CoordinateError, OverflowError, ZeroDivisionError):
+        raise FloatRangeError(f"the transport of {start} to chart {target} "
+                              "leaves the float range") from None
+
+
 def tropical_transport(L: TropicalPoint, P: ExchangePattern,
                        target: int) -> TropicalPoint:
-    """Piecewise-linear transport of tropical coordinates to another chart."""
-    return TropicalPoint(target, P.walk(L.x, L.chart, target,
-                                        _steps.trop_mutation))
+    """Piecewise-linear transport of tropical coordinates to another chart;
+    FloatRangeError when a coordinate leaves the float range on the way."""
+    return _transport(L, L.x, P, target, _steps.trop_mutation)
 
 
 def positive_transport(g: PositivePoint, P: ExchangePattern,
                        target: int) -> PositivePoint:
-    """Positive-real transport (exact when coordinates are Fractions)."""
-    return PositivePoint(target, P.walk(g.X, g.chart, target,
-                                        _steps.pos_mutation))
+    """Positive-real transport (exact when coordinates are Fractions);
+    FloatRangeError when a coordinate leaves the float range on the way,
+    above or below."""
+    return _transport(g, g.X, P, target, _steps.pos_mutation)
 
 
 def log_transport(logX, P: ExchangePattern, src: int, target: int):
@@ -168,7 +181,9 @@ def locate_cone(L: TropicalPoint, P: ExchangePattern) -> LocatedCone:
     vector is exactly x^(v)(L).  Exact for int/Fraction coordinates.
     Only cone representatives are scanned, in fan order: a relabeled
     member of a cone has a larger id and passes the same test.  Of those,
-    only candidate_cones are tried, which gives the same cone.
+    only candidate_cones are tried, which gives the same cone.  When no
+    cone takes L, raises FloatRangeError if a sum of C^- x0 left the float
+    range, and CompletenessError otherwise.
     """
     x0 = tropical_transport(L, P, P.base).x
     for cone in candidate_cones(P, x0):
@@ -177,6 +192,10 @@ def locate_cone(L: TropicalPoint, P: ExchangePattern) -> LocatedCone:
             lam = intmat.matvec(cone.inequalities, x0)
             return LocatedCone(v, tuple(abs(c) <= TOL for c in lam),
                                tropical_transport(L, P, v).x)
+    # no cone can be told to hold x0 when its sums overflow
+    if not all(_finite(s) for cone in P.fan()
+               for s in intmat.matvec(cone.inequalities, x0)):
+        raise FloatRangeError(f"the cone test of {x0} leaves the float range")
     raise CompletenessError(
         f"no cone of pattern {P.type_tag!r} contains {x0} (tol={TOL})")
 

@@ -260,6 +260,8 @@ G0_BELOW_RANGE = "quake --type A2 --g0 1e-400,1 --L 1,1"
     "inverse --type A2 --g0 1,1 --g 1e-400,1",
     "horocycle --type A2 --g0 1e-400,1 --L 1,2",
     "limits --type A2 --g0 1e-400,1",
+    "quake --type G2 --L=7e307,-9e307",
+    "quake --type G2 --L=8.653143139788164e307,-1.7893044531354165e308",
     G0_BELOW_RANGE,
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -117,16 +118,24 @@ def test_fit_requires_a_breadth_first_fan(monkeypatch):
     fan = ExchangePattern.fan
 
     def shuffled(P):
-        cones = list(fan(P))
-        depth1 = [c.vertex_id for c in cones
-                  if c.parent and c.parent[0] == P.base]
-        x = next(c for c in cones if c.parent and c.parent[0] in depth1[:-1])
-        cones.remove(x)
-        cones.insert(depth1.index(x.parent[0]) + 2, x)
-        return tuple(cones)
+        cones = fan(P)
+        parents = [c.parent and c.parent[0] for c in cones]
+        depth1 = [i for i, up in enumerate(parents) if up == 0]
+        x = next(i for i, up in enumerate(parents) if up in depth1[:-1])
+        order = list(range(len(cones)))
+        order.remove(x)
+        order.insert(parents[x] + 1, x)
+        # parents are named by fan position: renumber them, so that each
+        # still comes before its children
+        new = {old: i for i, old in enumerate(order)}
+        out = tuple(dataclasses.replace(c, parent=(new[c.parent[0]],
+                                                   c.parent[1]))
+                    if c.parent else c for c in map(cones.__getitem__, order))
+        assert all(c.parent[0] < i for i, c in enumerate(out) if c.parent)
+        return out
 
     monkeypatch.setattr(ExchangePattern, "fan", shuffled)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match="not breadth-first"):
         EarthquakeTransformer("A3").fit()
 
 
@@ -281,6 +290,25 @@ def test_inverse_image_past_float_range_is_a_typed_error(capfd, label, g0,
     est = EarthquakeTransformer(label, g0=g0).fit()
     with pytest.raises(FloatRangeError, match=r"inverse image of row \["):
         est.inverse_transform([[0.5] * len(row), row])
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row, vertex", [
+    ([7e307, -9e307], None),
+    ([8.653143139788164e307, -1.7893044531354165e308], 7)])
+def test_g2_rows_near_the_float_maximum_are_typed_errors(capfd, row, vertex):
+    # no cone's sums are finite for the first row, which raised
+    # CompletenessError; the second row lies in the cone locate_cone
+    # finds for it in Fractions, but its image leaves the float range
+    est = fitted("G2")
+    with pytest.raises(FloatRangeError, match=r"of row \[[78]"):
+        est.transform([[0.5, 1.0], row])
+    if vertex is None:
+        with pytest.raises(FloatRangeError, match="cone test of row"):
+            est.predict([row])
+    else:
+        assert est.predict([row]).tolist() == [vertex]
     assert capfd.readouterr().err == ""
 
 

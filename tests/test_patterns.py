@@ -20,10 +20,12 @@ from clusterquake import (
     glue,
     inverse_quake,
     limit_L,
+    limit_g,
     locate_cone,
     pattern_from_type,
     quake,
     seed_from_type,
+    separation_eval,
 )
 from clusterquake import _steps, checks, intmat, patterns
 from clusterquake.cli import main
@@ -180,10 +182,10 @@ def pattern_of(vertices, mut_edges, perm_edges, type_tag):
     have the same set of rows.  Each cone's record holds the matrices of
     its first vertex, generators transported along that vertex's route
     (walked_cone_matrix), the vertex ids of its labels, and as parent the
-    vertex and direction of its first vertex's last edge; so the
-    pattern's fan() is the fan oracle.  The BFS parent of a vertex is the
-    one whose path is its path without the last edge.  The cluster memo
-    is read off the edge maps: a mutation edge (c, p) -> (c', p') in
+    cone and direction of its first vertex's last edge; so the pattern's
+    fan() is the fan oracle.  The BFS parent of a vertex is the one whose
+    path is its path without the last edge.  The records' landings are
+    read off the edge maps: a mutation edge (c, p) -> (c', p') in
     direction k is the landing (c', tau) of cluster c in direction p[k],
     tau = p' o p^-1, and every edge of one cluster and direction must
     land alike.  Every relabel edge must lead to the label the pattern
@@ -196,21 +198,23 @@ def pattern_of(vertices, mut_edges, perm_edges, type_tag):
     by_path = {v.path: v.id for v in vertices}
     parents = [(by_path[v.path[:-1]], v.path[-1]) if v.path else None
                for v in vertices]
-    memo = {}
+    records = [patterns.Cone(v.eps, v.C, v.G, None, v.Cdual,
+                             parents[v.id] and (labels[parents[v.id][0]][0],
+                                                parents[v.id][1][1]),
+                             [None] * v.eps.n, v.Fs)
+               for _, v in cones.values()]
     for (vid, k), wid in mut_edges.items():
         (c, p), (target, q) = labels[vid], labels[wid]
         landing = (target, tuple(q[p.index(j)] for j in range(len(p))))
-        assert memo.setdefault((c, p[k]), landing) == landing, (vid, k)
+        landings = records[c].landings
+        assert landings[p[k]] in (None, landing), (vid, k)
+        landings[p[k]] = landing
     for (vid, images), wid in perm_edges.items():
         c, p = labels[vid]
         assert labels[wid] == (c, tuple(p[i] for i in images)), (vid, images)
-    records = [patterns.Cone(v.eps, v.C, v.G, None, v.Cdual,
-                             parents[v.id] and (parents[v.id][0],
-                                                parents[v.id][1][1]), v.Fs)
-               for _, v in cones.values()]
     for vid, (c, p) in enumerate(labels):
         records[c].ids[p] = vid
-    P = ExchangePattern(labels, parents, memo, type_tag, None, records)
+    P = ExchangePattern(labels, parents, type_tag, None, records)
     P._slots[:] = vertices
     for cone in records:
         cone.generators = intmat.transpose(
@@ -595,6 +599,7 @@ def test_cluster_memo_matches_labeled_bfs_oracle(label):
     assert P.to_json_obj() == oracle.to_json_obj()
     assert P.vertices == oracle.vertices
     assert (P.mut_edges, relabel_neighbors(P)) == oracle.edge_maps
+    assert_record_graph(P, oracle)
     assert ([(c.vertex_id, c.generators, c.members) for c in P.fan()]
             == [(c.vertex_id, c.generators, c.members) for c in oracle.fan()])
 
@@ -692,8 +697,37 @@ def test_neighbor_rejects_what_is_no_edge_of_the_pattern():
         err.value.partial.neighbor(0, ("mu", 0))
 
 
+VERTEX_READERS = {
+    "vertex": lambda P, v: P.vertex(v),
+    "cone_matrix": lambda P, v: P.cone_matrix(v),
+    "cone_matrix_inv": lambda P, v: P.cone_matrix_inv(v),
+    "ray": lambda P, v: P.ray(v, 0),
+    "based_matrices": lambda P, v: P.based_matrices(v),
+    "fuGy_check": lambda P, v: P.fuGy_check(v),
+    "fc_product": lambda P, v: P.fc_product(v),
+    "tropical_sign": lambda P, v: P.tropical_sign(v, 0),
+    "opposite_cone_matrix": lambda P, v: P.opposite_cone_matrix(v),
+    "limit_L": lambda P, v: limit_L(P, PositivePoint(0, (1.0, 1.0)), v, 0,
+                                    1.0),
+    "limit_g": lambda P, v: limit_g(P, PositivePoint(0, (1.0, 1.0)), v),
+    "separation_eval": lambda P, v: separation_eval(P, v, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(VERTEX_READERS))
+@pytest.mark.parametrize("where", ["past_the_end", "negative"])
+def test_vertex_ids_out_of_range_raise_precondition_error(reader, where):
+    # an id of -1 used to read the last vertex, and one past the end
+    # raised IndexError
+    P = a2()
+    vid = len(P) if where == "past_the_end" else -1
+    with pytest.raises(PreconditionError, match=f"vertex id {vid} not in"):
+        VERTEX_READERS[reader](P, vid)
+    assert not P._based_cache and P._slots.count(None) == len(P)
+
+
 def test_library_paths_read_no_edge_map():
-    # every edge is read off the memo; only a reader of P.mut_edges
+    # every edge is read off the landings; only a reader of P.mut_edges
     # builds that map
     P = pattern_from_type("B3")
     g0 = PositivePoint(0, (1.0, 2.0, 0.5))
@@ -776,7 +810,7 @@ def test_opposite_cone_matrix_must_be_integral():
 def assert_prefix_of_oracle(partial, oracle):
     # vertex i agrees wherever both patterns have one, and every edge of
     # the partial pattern is an edge of the oracle; the partial pattern
-    # reads its edges off the memo and the index, so it has every relabel
+    # reads its edges off the landings and ids, so it has every relabel
     # edge between two of its vertices, and a mutation edge wherever its
     # cluster's landing is known
     assert len(partial) <= len(oracle)
@@ -848,11 +882,11 @@ def test_vertices_are_built_on_first_read():
 
 def fan_tree_holds(P):
     """Every cone but the base's is one mutation of an earlier cone: its
-    parent is an earlier representative, the mutation edge leads from
-    it to the cone, and the route from the base runs through it; and
-    every cone's inequalities are its C^- rows."""
-    earlier = set()
-    for cone in P.fan():
+    parent is at an earlier fan position, the mutation edge leads from
+    the parent's first vertex to the cone's, and the route from the base
+    runs through it; and every cone's inequalities are its C^- rows."""
+    fan = P.fan()
+    for i, cone in enumerate(fan):
         v = cone.vertex_id
         if cone.inequalities != P.cone_matrix_inv(v):
             return False
@@ -860,13 +894,39 @@ def fan_tree_holds(P):
             if v != P.base:
                 return False
         else:
-            w, k = cone.parent
-            if (w not in earlier or P.mut_edges.get((w, k)) != v
+            up, k = cone.parent
+            if not up < i:
+                return False
+            w = fan[up].vertex_id
+            if (P.mut_edges.get((w, k)) != v
                     or P.route(P.base, v) != P.route(P.base, w)
                     + [(w, ("mu", k))]):
                 return False
-        earlier.add(v)
     return True
+
+
+def assert_record_graph(P, oracle):
+    """P.fan()[i] is cluster i, made from a cone at a smaller position,
+    and the records' landings agree with the oracle's mutation edges.
+    Where cone i's landing in direction q is (t, tau), the landing of
+    cone t in direction tau[q] leads back by tau^-1, and the oracle has
+    an edge from cone i's first vertex in direction q exactly when the
+    far end, labeled (t, tau), is in the pattern, and to it.  A mutation
+    not yet made is no edge the oracle's search found."""
+    ident = tuple(range(P.n))
+    found, within = oracle.edge_maps[0], oracle.edges_within[0]
+    for i, cone in enumerate(P.fan()):
+        assert cone is P._cones[i] and P._labels[cone.vertex_id] == (i, ident)
+        assert cone.parent is None if i == 0 else cone.parent[0] < i
+        for q, landing in enumerate(cone.landings):
+            edge = (cone.vertex_id, q)
+            if landing is None:
+                assert edge not in found
+                continue
+            t, tau = landing
+            back = tuple(sorted(ident, key=tau.__getitem__))
+            assert P._cones[t].landings[tau[q]] == (i, back)
+            assert within.get(edge) == P._cones[t].ids.get(tau)
 
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)
@@ -881,6 +941,8 @@ def test_partial_fan_is_a_tree_of_mutations(label, cap):
         pattern_from_type(label, cap=cap)
     partial = err.value.partial
     assert len(partial.fan()) >= 1 and fan_tree_holds(partial)
+    assert_record_graph(partial,
+                        labeled_bfs_oracle(seed_from_type(label), label, cap))
 
 
 def test_broken_cone_parent_fails_the_tree_property():
@@ -898,14 +960,36 @@ def test_fan_rejects_a_cone_reached_from_no_earlier_cone():
     # its parent's cluster, or reached by a relabel edge
     P = pattern_from_type("B3")
     rep = P.fan()[5]
-    w, k = rep.parent
-    member = next(m for c in P.fan() if c.vertex_id == w
-                  for m in c.members if m != w)
+    up, k = rep.parent
+    w, member = P.fan()[up].members[:2]
     for parent in ((member, ("mu", k)), (w, ("perm", (1, 0, 2)))):
         Q = pattern_from_type("B3")
         Q._parents[rep.vertex_id] = parent
         with pytest.raises(InternalConsistencyError, match="earlier cone"):
             Q.fan()
+
+
+def test_fan_rejects_a_parent_that_is_not_an_earlier_cone():
+    # cone 5 claims itself, or the next cone, as its parent, and its
+    # first vertex's BFS parent agrees: only the positions are wrong
+    for up in (5, 6):
+        P = pattern_from_type("B3")
+        cone = P._cones[5]
+        k = cone.parent[1]
+        cone.parent = (up, k)
+        P._parents[cone.vertex_id] = (P._cones[up].vertex_id, ("mu", k))
+        with pytest.raises(InternalConsistencyError, match="earlier cone"):
+            P.fan()
+
+
+def test_fan_rejects_a_cone_with_no_vertex_before_the_last():
+    # only the last record can lack members, made just before the cap;
+    # one before it would shift the positions of the cones after it
+    P = pattern_from_type("B3")
+    P._cones[5].ids.clear()
+    with pytest.raises(InternalConsistencyError,
+                       match="canonical seed of cluster 5$"):
+        P.fan()
 
 
 def test_fan_rejects_a_representative_not_labeled_by_the_identity():
@@ -930,6 +1014,8 @@ def test_every_partial_fan_is_a_tree_of_cones_with_members(label):
         assert all(cone.members for cone in fan), cap
         assert all(cone.vertex_id == min(cone.members) for cone in fan), cap
         assert fan_tree_holds(partial), cap
+        assert_record_graph(
+            partial, labeled_bfs_oracle(seed_from_type(label), label, cap))
 
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES + ["A5", "D5", "B5"])

@@ -10,6 +10,7 @@ import clusterquake as cq
 from clusterquake import checks, intmat, points
 from clusterquake import (
     CompletenessError,
+    FloatRangeError,
     PositivePoint,
     PreconditionError,
     TropicalPoint,
@@ -441,6 +442,34 @@ def test_points_near_the_float_maximum_take_the_full_scan(size, full):
     L = TropicalPoint(P.base, (size, -size, size))
     assert (points.candidate_cones(P, L.x) is P.fan()) is full
     assert tuple(locate_cone(L, P)) == locate_scan_oracle(L, P)
+
+
+@pytest.mark.parametrize("x, vertex", [
+    ((7e307, -9e307), 4),
+    ((8.653143139788164e307, -1.7893044531354165e308), 7)])
+def test_g2_points_near_the_float_maximum_raise_float_range_error(x, vertex):
+    # every cone's sums overflow for the first point, which raised
+    # CompletenessError; the second is in a cone, but its coordinates
+    # there leave the float range, which raised CoordinateError.  As
+    # Fractions, both are located exactly
+    P = _pattern("G2")
+    with pytest.raises(FloatRangeError, match="leaves the float range"):
+        locate_cone(TropicalPoint(P.base, x), P)
+    exact = TropicalPoint(P.base, tuple(map(Fraction, x)))
+    assert locate_cone(exact, P).vertex == vertex
+
+
+def test_positive_transport_leaving_the_float_range_is_a_typed_error():
+    # on G2 a coordinate of (1e-300, 1e300) rounds to 0.0 on the way to
+    # chart 1, which raised CoordinateError, and is divided by on the way
+    # to chart 3, which raised ZeroDivisionError, out of quake as well
+    P = _pattern("G2")
+    g0 = PositivePoint(P.base, (1e-300, 1e300))
+    for chart in (1, 3):
+        with pytest.raises(FloatRangeError, match=f"chart {chart} leaves"):
+            positive_transport(g0, P, chart)
+    with pytest.raises(FloatRangeError):
+        cq.quake(P, g0, TropicalPoint(P.base, (-1, -1)))
 
 
 @pytest.mark.parametrize("mutant", ["inequalities", "generators"])
