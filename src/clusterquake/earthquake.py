@@ -191,7 +191,7 @@ def dquake(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
         delta = tuple(2 * b - a for a, b in zip(d1, d2))
         return TangentVector(g, g.chart, delta)
     if method != "analytic":
-        raise ValueError(f"unknown dquake method {method!r}")
+        raise PreconditionError(f"unknown dquake method {method!r}")
 
     v, _, xv = locate_cone(L, P)
     delta = _floats(xv, "L")
@@ -232,13 +232,11 @@ def limit_g(P: ExchangePattern, g: PositivePoint, v: int):
 
 
 def in_plus_region(P: ExchangePattern, vid: int, g0: PositivePoint,
-                   g: PositivePoint, margin: float = 0.0) -> bool:
-    """Whether g is in the region D+_(vid)(g0): X^(v)(g) >= X^(v)(g0),
-    strictly by `margin` when margin > 0."""
+                   g: PositivePoint) -> bool:
+    """Whether g is in the region D+_(vid)(g0): X^(v)(g) >= X^(v)(g0)."""
     gv = positive_transport(g, P, vid)
     g0v = positive_transport(g0, P, vid)
-    return all(a >= b * math.exp(margin) if margin > 0 else a >= b
-               for a, b in zip(gv.X, g0v.X))
+    return all(a >= b for a, b in zip(gv.X, g0v.X))
 
 
 def _restrict(matrix, J):

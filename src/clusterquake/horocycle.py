@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BoundaryError, GluingDomainError
+from .errors import BoundaryError, CoordinateError, GluingDomainError
 from .patterns import ExchangePattern
 from .points import TOL, PositivePoint, TropicalPoint, _floats, _logs, \
     locate_cone, positive_transport, scale
@@ -29,10 +29,10 @@ class CentralCharge:
         object.__setattr__(self, "z", zs)
         for i, c in enumerate(zs):
             if c.imag < -1e-12:
-                raise ValueError(
+                raise CoordinateError(
                     f"entry {i} of a central charge lies below the real axis")
             if c == 0:
-                raise ValueError(f"entry {i} of a central charge is zero")
+                raise CoordinateError(f"entry {i} of a central charge is zero")
 
 
 def glue(Z: CentralCharge, P: ExchangePattern, k: int) -> CentralCharge:
@@ -40,8 +40,11 @@ def glue(Z: CentralCharge, P: ExchangePattern, k: int) -> CentralCharge:
 
     An involution (crossing back from the adjacent chart returns the
     input), and the identity on the geometric data: both charts describe
-    the same pair (g, L) with L on the shared cone face.
+    the same pair (g, L) with L on the shared cone face.  A direction k
+    outside range(n) raises PreconditionError (from P.neighbor) before z
+    is read.
     """
+    chart = P.neighbor(Z.chart, ("mu", k))
     z = Z.z
     if abs(z[k].imag) > TOL:
         raise GluingDomainError(
@@ -56,7 +59,7 @@ def glue(Z: CentralCharge, P: ExchangePattern, k: int) -> CentralCharge:
     for i in range(len(z)):
         if i != k:
             out[i] = z[i] + max(0, -s * eps[i][k]) * zk
-    return CentralCharge(P.neighbor(Z.chart, ("mu", k)), tuple(out))
+    return CentralCharge(chart, tuple(out))
 
 
 def horocycle_flow(Z: CentralCharge, t: float) -> CentralCharge:

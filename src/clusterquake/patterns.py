@@ -4,7 +4,9 @@ enumerate_pattern performs a breadth-first closure of an initial seed
 under the n matrix mutations and the symmetrizer-preserving
 transpositions, deduplicating labeled seeds by the pair (exchange
 matrix, C-matrix).  The exact work is done once per cluster, and each
-cluster is one Cone record, made when the BFS first reaches it: every
+cluster is one Cone record, made by the first mutation that reaches it.
+A cluster's n mutations are made once, when the BFS pops its first
+vertex; the labeled layer is only a numbering over the records: every
 labeled vertex is its cluster's canonical seed with the rows permuted,
 stored as the pair (cluster id, permutation), numbered through the
 record's map from permutations to vertex ids, and built into a
@@ -129,7 +131,6 @@ class PatternVertex:
     Cdual: intmat.IntMatrix  # C^{-s}_{v0->v} = cone_matrix(v)^-1
     G: intmat.IntMatrix
     Fs: tuple
-    path: tuple
     # the pattern's cones and labels, not the pattern, which holds the
     # vertex: with no reference cycle a dropped pattern is freed at once
     f_source: tuple | None = field(default=None, compare=False, repr=False)
@@ -162,7 +163,9 @@ class Cone:
     cone's position, direction), a smaller position, and landings[q] is
     (position, tau) for the cluster that mutation q reaches, row i of the
     landed seed being row tau[i] of that cluster's canonical seed, or None
-    while that mutation has not been made.  Fs stays None until
+    while that mutation has not been made: all n are made when the BFS
+    pops the cluster's first vertex, so only a cluster not yet popped
+    (in a partial pattern) lacks some.  Fs stays None until
     _f_polynomials builds it."""
 
     eps: ExchangeMatrix
@@ -237,7 +240,6 @@ class ExchangePattern:
         self._based_cache = {}
         self._opp_cone_cache = {}
         self._opposite = None
-        self._opp_map = {}
         self._fan = None
         self._bfs_s = bfs_s
         self._fan_s = None
@@ -282,7 +284,6 @@ class ExchangePattern:
             eps=ExchangeMatrix(
                 tuple(tuple(map(e[a].__getitem__, p)) for a in p), cone.eps.d),
             C=C, Cdual=Cdual, G=G, Fs=None,
-            path=tuple(edge for _, edge in self.route(self.base, vid)),
             f_source=(self._cones, self._labels))
         object.__delattr__(v, "Fs")
         return v
@@ -474,13 +475,11 @@ class ExchangePattern:
 
     def opposite_vertex(self, vid):
         """Vertex of opposite() reached by replaying the path of vid."""
-        if vid not in self._opp_map:
-            opp = self.opposite()
-            w = opp.base
-            for _, edge in self.route(self.base, vid):
-                w = opp.neighbor(w, edge)
-            self._opp_map[vid] = w
-        return self._opp_map[vid]
+        opp = self.opposite()
+        w = opp.base
+        for _, edge in self.route(self.base, vid):
+            w = opp.neighbor(w, edge)
+        return w
 
     # -- identities ---------------------------------------------------------
 
@@ -510,12 +509,12 @@ class ExchangePattern:
 
     def fan(self):
         """Maximal cones, one Cone record per cluster, in cluster-id order,
-        which is the vertex-id order of their first vertices; a cluster
-        made just before the cap stopped the build, always the last, has
-        no vertex and no cone.  So a cone's position in the fan is its
-        cluster id, which the labels of the first vertices confirm: a
-        record with no vertex before the last would shift the positions
-        after it.
+        which is the vertex-id order of their first vertices; the clusters
+        made at the last popped vertex before the cap stopped the build
+        may have no vertex and then no cone, and they are the last
+        records.  So a cone's position in the fan is its cluster id, which
+        the labels of the first vertices confirm: a record with no vertex
+        before one with a vertex would shift the positions after it.
 
         The vertices of one cluster share its cone, and distinct clusters
         of a finite type have distinct cones; a cone's generators and
@@ -691,17 +690,18 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     A labeled seed is stored as (cluster, p): row i of each of its
     matrices is row p[i] of the canonical seed in the cluster's Cone
     record, whose ids map p back to the vertex id.  Mutation commutes
-    with relabeling, so the exact mutation of eps and C runs once per
-    cluster edge, and that of C^-, G and the cone generators once per
-    new cluster; F is left to the first read (see _f_polynomials).  The
-    landing is kept at both ends, in the records' landings, as (cluster',
-    tau) with row i of the landed seed equal to row tau[i] of the
-    canonical seed of cluster' (clusters are keyed by their set of
-    c-vectors); a labeled step (cluster, p) -> (cluster', tau o p) is then
-    tuple arithmetic.  A new cluster is only ever made from the first
-    vertex of its parent cluster, which carries the identity label and is
-    the first of its cluster to be popped, so the new cluster's first
-    vertex is labeled by the identity as well.
+    with relabeling, so a cluster's work runs once, when its first vertex
+    is popped: the 2-finite test, then every mutation of the cluster not
+    yet made from the other end.  The exact mutation of eps and C runs
+    once per cluster edge, and that of C^-, G and the cone generators
+    once per new cluster; F is left to the first read (see
+    _f_polynomials).  The landing is kept at both ends, in the records'
+    landings, as (cluster', tau) with row i of the landed seed equal to
+    row tau[i] of the canonical seed of cluster' (clusters are keyed by
+    their set of c-vectors); a labeled step (cluster, p) -> (cluster',
+    tau o p) only reads it.  A new cluster is only ever made at the first
+    vertex of its parent cluster, which carries the identity label, so
+    the new cluster's first vertex is labeled by the identity as well.
 
     Raises NotFiniteTypeError at the first exchange matrix that shows the
     class is not of finite type, and PatternBudgetError when the vertex
@@ -739,8 +739,8 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         return len(cones) - 1
 
     def mutate(c, q):
-        """(cluster', tau) reached from cluster c by mutation q, kept in
-        the landings at both ends."""
+        """Make mutation q of cluster c: the landing (cluster', tau) it
+        reaches, kept in the landings at both ends."""
         src = cones[c]
         eps = src.eps.mutate(q)
         C = mutate_c_matrix(src.C, src.eps, q)
@@ -764,7 +764,6 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         # the inverse of tau
         src.landings[q] = target, tau
         cones[target].landings[tau[q]] = c, tuple(map(tau.index, ident))
-        return target, tau
 
     def add(c, p, parent):
         vid = len(labels)
@@ -784,8 +783,9 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     # labels is the queue: vertices are popped in id order, as added
     for vid, (c, p) in enumerate(labels):
         if p == ident:
-            # the first vertex popped from a cluster; relabeling keeps
-            # |eps_ij * eps_ji| over the pairs, so one test per cluster
+            # the first vertex popped from a cluster, where the cluster's
+            # own work runs once; relabeling keeps |eps_ij * eps_ji| over
+            # the pairs, so one test per cluster
             e = cones[c].eps.entries
             bad = _two_finite_violation(e)
             if bad is not None:
@@ -795,14 +795,18 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                     f"eps_{j}{i}| = {abs(e[i][j] * e[j][i])} > 3; the "
                     "mutation class is not of finite type",
                     partial=pattern_so_far())
+            # then every mutation not yet made from the other end, so
+            # that the labeled steps below only read landings
+            for q in range(n):
+                cones[c].landings[q] or mutate(c, q)
         # the far ends' labels, as ExchangePattern._far_end makes them; one
         # already in its cone's ids is an edge already found
+        landings, ids = cones[c].landings, cones[c].ids
         for k, step in mu_steps:
-            target, tau = cones[c].landings[p[k]] or mutate(c, p[k])
+            target, tau = landings[p[k]]
             q = tuple(map(tau.__getitem__, p))
             if q not in cones[target].ids:
                 add(target, q, (vid, step))
-        ids = cones[c].ids
         for images, step in perm_steps:
             # row i of the relabeled seed is row images^-1(i) = images(i)
             # (a transposition is its own inverse)

@@ -211,7 +211,7 @@ def separation_eval(P: ExchangePattern, vid: int, X0):
     """X-coordinates at chart vid from base-chart values X0, through the
     separation formula X_i = prod_j X0_j^{c_ij} * F_j(X0)^{eps_ij}."""
     if any(not x > 0 for x in X0):
-        raise ValueError("separation formula needs positive coordinates")
+        raise CoordinateError("separation formula needs positive coordinates")
     v = P.vertex(vid)
     f_vals = [f.eval(X0) for f in v.Fs]
     out = []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clusterquake as cq
+from clusterquake import checks
 from clusterquake import (
     FloatRangeError,
     HomeomorphismError,
@@ -150,14 +151,20 @@ def test_dquake_methods_agree():
         dquake(P, g, TropicalPoint(0, (1.0, 1.0)), method="nope")
 
 
+def test_dquake_unknown_method_raises_precondition_error():
+    P = pattern("A2")
+    with pytest.raises(PreconditionError, match="unknown dquake method 'x'"):
+        dquake(P, PositivePoint(0, (1.0, 1.0)), TropicalPoint(0, (1.0, 1.0)),
+               method="x")
+
+
 def test_dquake_in_a_relabeled_chart():
     # the cone charts are reached by mutations only, so the walk from the
     # cone to g's chart crosses a relabel edge only when g's chart does
     P = pattern("D4")
-    chart = next(v.id for v in P.vertices
-                 if v.path and v.path[-1][0] == "perm")
-    parent = P.vertex_sequence(chart)[-2]
-    images = P.vertex(chart).path[-1][1]
+    chart, parent, images = next(
+        (vid, parent, edge[1]) for vid in range(1, len(P))
+        for parent, edge in P.route(P.base, vid)[-1:] if edge[0] == "perm")
     X = (1.3, 0.7, 1.1, 0.9)
     # the same point seen from the chart before the relabel edge, whose
     # coordinate i is coordinate images[i] here (a transposition)
@@ -236,6 +243,28 @@ def test_limit_g_converges():
     assert err(20.0) < 1e-6
 
 
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_limits_g_check_reads_one_cone_per_cluster(label):
+    # a member's matrix and target are its cone's with the columns
+    # permuted, so every member's row of limits --mode g has its cone's
+    # error, bit for bit, and the check's details are unchanged
+    P = pattern(label)
+    reps = [cone.vertex_id for cone in P.fan()]
+    errs = []
+    for M in (30.0, 10.0):
+        rows = checks.limit_g_rows(P, M)
+        own = {vid: err for vid, *_, err in checks._limit_g(P, M, reps)}
+        for cone in P.fan():
+            assert ({rows[vid]["err"] for vid in cone.members}
+                    == {own[cone.vertex_id]}), cone.vertex_id
+        errs.append(max(row["err"] for row in rows))
+    err30, err10 = errs
+    [_, check] = checks.limits(P, random.Random(0))
+    assert check == checks.Check(
+        "limits.g", err30 <= checks.LIMIT_G_TOL and err30 < err10,
+        f"err(M=30)={err30:.2e} < err(M=10)={err10:.2e}")
+
+
 def test_in_plus_region():
     P = pattern("A2")
     g0 = PositivePoint(0, (1.0, 1.0))
@@ -244,7 +273,6 @@ def test_in_plus_region():
     # the base point sits on the boundary of every plus-region
     for v in P.vertices:
         assert in_plus_region(P, v.id, g0, g0)
-        assert not in_plus_region(P, v.id, g0, g0, margin=1e-6)
 
 
 def test_cluster_reduce_zero_residual():

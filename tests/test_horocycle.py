@@ -8,8 +8,10 @@ from clusterquake import earthquake, horocycle, points
 from clusterquake import (
     BoundaryError,
     CentralCharge,
+    CoordinateError,
     GluingDomainError,
     PositivePoint,
+    PreconditionError,
     TropicalPoint,
     conjugacy_residual,
     glue,
@@ -30,6 +32,21 @@ def test_central_charge_validation():
         CentralCharge(0, (1j, -1j))
     with pytest.raises(ValueError):
         CentralCharge(0, (0j, 1j))
+
+
+@pytest.mark.parametrize("z", [(1j, -1j), (0j, 1j)],
+                         ids=["below_the_real_axis", "zero"])
+def test_central_charge_entries_raise_coordinate_error(z):
+    # a ValueError still, as before the error was typed
+    with pytest.raises(CoordinateError):
+        CentralCharge(0, z)
+
+
+@pytest.mark.parametrize("k", [2, -1])
+def test_glue_direction_out_of_range_raises_precondition_error(A2, k):
+    # k == n used to raise IndexError, and -1 glued along the last wall
+    with pytest.raises(PreconditionError, match=rf"no edge \('mu', {k}\)"):
+        glue(CentralCharge(0, (1, 1)), A2, k)
 
 
 def test_glue_frozen_example(A2):

@@ -91,12 +91,14 @@ def labeled_bfs_oracle(eps0, type_tag="custom", cap=None):
     (ExchangeMatrix.relabel and _steps.apply_perm on relabel edges) and
     deduplicated by (eps, C).  Kept as the reference for enumerate_pattern
     on finite types; with a cap it stops where enumerate_pattern raises
-    PatternBudgetError, and returns what it has.  Its own edge maps are
-    kept on the pattern as edge_maps = (mut_edges, perm_edges), the edges
-    its BFS found, and edges_within, the same maps for every edge between
-    two vertices it has (which a capped BFS may not have found)."""
+    PatternBudgetError, and returns what it has.  Its search tree is kept
+    on the pattern as paths, the edges from the base to each vertex in id
+    order, and its own edge maps as edge_maps = (mut_edges, perm_edges),
+    the edges its BFS found, and edges_within, the same maps for every
+    edge between two vertices it has (which a capped BFS may not have
+    found)."""
     n = eps0.n
-    vertices, index, mut_edges, perm_edges = [], {}, {}, {}
+    vertices, paths, index, mut_edges, perm_edges = [], [], {}, {}, {}
     transpositions = eps0.admissible_transpositions()
     queue = deque()
 
@@ -108,7 +110,8 @@ def labeled_bfs_oracle(eps0, type_tag="custom", cap=None):
         if cap is not None and vid >= cap:
             raise Full
         vertices.append(PatternVertex(
-            id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs, path=path))
+            id=vid, eps=eps, C=C, Cdual=Cdual, G=G, Fs=Fs))
+        paths.append(path)
         index[(eps.entries, C)] = vid
         queue.append(vid)
         return vid
@@ -131,7 +134,7 @@ def labeled_bfs_oracle(eps0, type_tag="custom", cap=None):
                               mutate_c_matrix(cur.Cdual, -eps, k),
                               mutate_g_matrix(cur.G, C, eps, k),
                               patterns.mutate_F(cur.Fs, C, eps, k),
-                              cur.path + (("mu", k),))
+                              paths[vid] + (("mu", k),))
                 mut_edges[(vid, k)] = wid
                 mut_edges[(wid, k)] = vid
             for sigma in transpositions:
@@ -145,12 +148,13 @@ def labeled_bfs_oracle(eps0, type_tag="custom", cap=None):
                               _steps.apply_perm(cur.Cdual, sigma.images),
                               _steps.apply_perm(cur.G, sigma.images),
                               _steps.apply_perm(cur.Fs, sigma.images),
-                              cur.path + (("perm", sigma.images),))
+                              paths[vid] + (("perm", sigma.images),))
                 perm_edges[(vid, sigma.images)] = wid
                 perm_edges[(wid, sigma.images)] = vid
     except Full:
         pass
-    P = pattern_of(vertices, mut_edges, perm_edges, type_tag)
+    P = pattern_of(vertices, paths, mut_edges, perm_edges, type_tag)
+    P.paths = paths
     P.edge_maps = (mut_edges, perm_edges)
     P.edges_within = ({}, {})
     for v in vertices:
@@ -167,6 +171,12 @@ def labeled_bfs_oracle(eps0, type_tag="custom", cap=None):
     return P
 
 
+def route_edges(P):
+    """The edges of P.route(P.base, vid) for every vertex, in id order."""
+    return [tuple(edge for _, edge in P.route(P.base, vid))
+            for vid in range(len(P))]
+
+
 def oracle_neighbor(oracle):
     """neighbor() read off the oracle's own edge maps."""
     mut_edges, perm_edges = oracle.edge_maps
@@ -174,30 +184,30 @@ def oracle_neighbor(oracle):
                               else perm_edges)[(vid, edge[1])]
 
 
-def pattern_of(vertices, mut_edges, perm_edges, type_tag):
+def pattern_of(vertices, paths, mut_edges, perm_edges, type_tag):
     """An ExchangePattern whose slots hold the given vertices as they
-    are, each labeled by its cone, numbered in order of first appearance.
-    Two vertices share a cone exactly when their cone matrices have the
-    same set of columns, that is when their inverses (the Cdual matrices)
-    have the same set of rows.  Each cone's record holds the matrices of
-    its first vertex, generators transported along that vertex's route
-    (walked_cone_matrix), the vertex ids of its labels, and as parent the
-    cone and direction of its first vertex's last edge; so the pattern's
-    fan() is the fan oracle.  The BFS parent of a vertex is the one whose
-    path is its path without the last edge.  The records' landings are
-    read off the edge maps: a mutation edge (c, p) -> (c', p') in
-    direction k is the landing (c', tau) of cluster c in direction p[k],
-    tau = p' o p^-1, and every edge of one cluster and direction must
-    land alike.  Every relabel edge must lead to the label the pattern
-    forms for it."""
+    are, each labeled by its cone, numbered in order of first appearance,
+    and reached from the base by the given paths.  Two vertices share a
+    cone exactly when their cone matrices have the same set of columns,
+    that is when their inverses (the Cdual matrices) have the same set of
+    rows.  Each cone's record holds the matrices of its first vertex,
+    generators transported along that vertex's route (walked_cone_matrix),
+    the vertex ids of its labels, and as parent the cone and direction of
+    its first vertex's last edge; so the pattern's fan() is the fan
+    oracle.  The BFS parent of a vertex is the one whose path is its path
+    without the last edge.  The records' landings are read off the edge
+    maps: a mutation edge (c, p) -> (c', p') in direction k is the
+    landing (c', tau) of cluster c in direction p[k], tau = p' o p^-1,
+    and every edge of one cluster and direction must land alike.  Every
+    relabel edge must lead to the label the pattern forms for it."""
     cones = {}
     labels = []
     for v in vertices:
         c, first = cones.setdefault(frozenset(v.Cdual), (len(cones), v))
         labels.append((c, tuple(map(first.Cdual.index, v.Cdual))))
-    by_path = {v.path: v.id for v in vertices}
-    parents = [(by_path[v.path[:-1]], v.path[-1]) if v.path else None
-               for v in vertices]
+    by_path = {path: vid for vid, path in enumerate(paths)}
+    parents = [(by_path[path[:-1]], path[-1]) if path else None
+               for path in paths]
     records = [patterns.Cone(v.eps, v.C, v.G, None, v.Cdual,
                              parents[v.id] and (labels[parents[v.id][0]][0],
                                                 parents[v.id][1][1]),
@@ -431,7 +441,7 @@ def test_bfs_tree_reaches_every_vertex(cap):
         assert parent < vid
         assert P.neighbor(parent, edge) == vid
         seq = [P.base]
-        for step in P.vertex(vid).path:
+        for _, step in P.route(P.base, vid):
             seq.append(P.neighbor(seq[-1], step))
         assert P.vertex_sequence(vid) == tuple(seq)
         assert seq[-1] == vid and seq[-2] == parent
@@ -462,7 +472,7 @@ def test_route_matches_prefix_cancelling_construction():
     eps0 = seed_from_type("B3")
     P = enumerate_pattern(eps0, type_tag="B3")
     oracle = labeled_bfs_oracle(eps0, "B3")
-    paths = [v.path for v in oracle.vertices]
+    paths = oracle.paths
     for src in range(len(P)):
         for dst in range(len(P)):
             assert P.route(src, dst) == prefix_cancelling_route(
@@ -598,6 +608,7 @@ def test_cluster_memo_matches_labeled_bfs_oracle(label):
     oracle = labeled_bfs_oracle(eps0, label)
     assert P.to_json_obj() == oracle.to_json_obj()
     assert P.vertices == oracle.vertices
+    assert route_edges(P) == oracle.paths
     assert (P.mut_edges, relabel_neighbors(P)) == oracle.edge_maps
     assert_record_graph(P, oracle)
     assert ([(c.vertex_id, c.generators, c.members) for c in P.fan()]
@@ -815,6 +826,7 @@ def assert_prefix_of_oracle(partial, oracle):
     # cluster's landing is known
     assert len(partial) <= len(oracle)
     assert partial.vertices == oracle.vertices[:len(partial)]
+    assert route_edges(partial) == oracle.paths[:len(partial)]
     mut_within, perm_within = oracle.edges_within
     assert partial.mut_edges.items() <= mut_within.items()
     assert relabel_neighbors(partial) == perm_within
@@ -857,12 +869,14 @@ def test_not_finite_partial_matches_labeled_bfs_oracle(name):
 def test_vertices_read_like_a_tuple(label):
     eps0 = seed_from_type(label)
     P = enumerate_pattern(eps0, type_tag=label)
-    expected = labeled_bfs_oracle(eps0, label).vertices
+    oracle = labeled_bfs_oracle(eps0, label)
+    expected = oracle.vertices
     assert len(P.vertices) == len(P) == len(expected)
     assert P.vertices[-1] == expected[-1] and P.vertices[-7] == expected[-7]
     assert P.vertices[3:40:5] == expected[3:40:5]
     assert P.vertices[::-1] == expected[::-1]
     assert P.vertices == expected
+    assert route_edges(P) == oracle.paths
     assert list(P.vertices) == list(expected)
     assert [v.id for v in P.vertices] == list(range(len(P)))
     with pytest.raises(IndexError):
@@ -878,6 +892,53 @@ def test_vertices_are_built_on_first_read():
     assert 0 < P.stats["vertex_cache"] < len(P)
     assert P.vertices[5] is v
     assert P.stats["vertex_cache"] == len(P)
+
+
+def test_building_vertices_walks_no_route(monkeypatch):
+    # a vertex stores no path: route() and vertex_sequence() read the
+    # BFS tree
+    calls = []
+    real = ExchangePattern.route
+
+    def counting(self, src, dst):
+        calls.append((src, dst))
+        return real(self, src, dst)
+
+    monkeypatch.setattr(ExchangePattern, "route", counting)
+    P = pattern_from_type("D4")
+    assert len(P.vertices) == 1200
+    assert calls == []
+    assert not hasattr(P.vertex(5), "path")
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_each_cluster_edge_is_mutated_once(label, monkeypatch):
+    # a cluster's mutations are made when its first vertex is popped, each
+    # edge from whichever end is popped first; the labeled steps make none
+    calls = []
+    real = ExchangeMatrix.mutate
+
+    def counting(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(ExchangeMatrix, "mutate", counting)
+    P = pattern_from_type(label)
+    assert len(calls) == len(P.fan()) * P.n // 2
+
+
+@pytest.mark.parametrize("cap", [2, 7, 50, 333])
+def test_partial_pattern_knows_every_landing_of_its_popped_clusters(cap):
+    with pytest.raises(PatternBudgetError) as err:
+        pattern_from_type("D4", cap=cap)
+    P = err.value.partial
+    # the last vertex added was added while its BFS parent was popped
+    popped = P._parents[-1][0]
+    for cone in P.fan():
+        if cone.vertex_id <= popped:
+            assert None not in cone.landings, cone.vertex_id
+    # the clusters made at one pop that got no vertex before the cap
+    assert len(P._cones) - len(P.fan()) < P.n
 
 
 def fan_tree_holds(P):

@@ -84,18 +84,18 @@ def test_transport_round_trip_exact(A2, B3):
     L = TropicalPoint(0, (Fraction(3, 2), Fraction(-1), Fraction(2),
                           Fraction(-5, 3)))
     relabeled = 0
-    for v in D4.vertices:
-        if not v.path or v.path[-1][0] != "perm":
+    for vid in range(1, len(D4)):
+        prev, edge = D4.route(D4.base, vid)[-1]
+        if edge[0] != "perm":
             continue
         relabeled += 1
-        inv = Permutation(v.path[-1][1]).inverse()
-        prev = D4.vertex_sequence(v.id)[-2]
+        inv = Permutation(edge[1]).inverse()
         for before, after in (
                 (positive_transport(g, D4, prev).X,
-                 positive_transport(g, D4, v.id).X),
+                 positive_transport(g, D4, vid).X),
                 (tropical_transport(L, D4, prev).x,
-                 tropical_transport(L, D4, v.id).x)):
-            assert after == tuple(before[inv(i)] for i in range(4)), v.id
+                 tropical_transport(L, D4, vid).x)):
+            assert after == tuple(before[inv(i)] for i in range(4)), vid
     assert relabeled == 999
 
 
@@ -226,6 +226,13 @@ def test_separation_formula_matches_transport(A2):
             == positive_transport(PositivePoint(0, X0), A2, v.id).X
     with pytest.raises(ValueError):
         separation_eval(A2, 0, (Fraction(-1), Fraction(1)))
+
+
+@pytest.mark.parametrize("X0", [(Fraction(-1), Fraction(1)), (0, 1),
+                                (1.0, float("nan"))])
+def test_separation_eval_raises_coordinate_error(A2, X0):
+    with pytest.raises(cq.CoordinateError, match="positive coordinates"):
+        separation_eval(A2, 0, X0)
 
 
 def test_transport_requires_matching_rank(A2):
