@@ -87,15 +87,16 @@ def _tropical(pattern, rng, spread):
 def matrices(pattern, rng):
     worst = 0
     ident = intmat.identity(pattern.n)
-    for v in pattern.vertices:
+    for vid in range(len(pattern)):
         # square integer matrices: a one-sided inverse is the inverse
-        ok_dual = intmat.matmul(pattern.cone_matrix(v.id), v.Cdual) == ident
-        ok_fugy, residual = pattern.fuGy_check(v.id)
+        ok_dual = intmat.matmul(pattern.cone_matrix(vid),
+                                pattern.cone_matrix_inv(vid)) == ident
+        ok_fugy, residual = pattern.fuGy_check(vid)
         worst = max(worst, max(abs(x) for row in residual for x in row))
         for k in range(pattern.n):
-            pattern.tropical_sign(v.id, k)  # raises if not sign-coherent
+            pattern.tropical_sign(vid, k)  # raises if not sign-coherent
         if not (ok_dual and ok_fugy):
-            return [Check("matrices", False, f"vertex {v.id}: "
+            return [Check("matrices", False, f"vertex {vid}: "
                           f"duality={ok_dual} fugy={ok_fugy}")]
     return [Check("matrices", True, f"vertices={len(pattern)} "
                   f"duality+fugy+signs exact (max residual {worst})")]

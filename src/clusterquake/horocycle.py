@@ -9,10 +9,12 @@ chart change on the locus where one coordinate is real.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BoundaryError, CoordinateError, GluingDomainError
+from .errors import BoundaryError, CoordinateError, FloatRangeError, \
+    GluingDomainError, PreconditionError
 from .patterns import ExchangePattern
 from .points import TOL, PositivePoint, TropicalPoint, _floats, _logs, \
     locate_cone, positive_transport, scale
@@ -28,6 +30,9 @@ class CentralCharge:
         zs = tuple(complex(c) for c in self.z)
         object.__setattr__(self, "z", zs)
         for i, c in enumerate(zs):
+            if not cmath.isfinite(c):
+                raise CoordinateError(
+                    f"entry {i} of a central charge is not finite: {c}")
             if c.imag < -1e-12:
                 raise CoordinateError(
                     f"entry {i} of a central charge lies below the real axis")
@@ -42,10 +47,11 @@ def glue(Z: CentralCharge, P: ExchangePattern, k: int) -> CentralCharge:
     input), and the identity on the geometric data: both charts describe
     the same pair (g, L) with L on the shared cone face.  A direction k
     outside range(n) raises PreconditionError (from P.neighbor) before z
-    is read.
+    is read; so does, after it, a charge whose rank is not the pattern's.
     """
     chart = P.neighbor(Z.chart, ("mu", k))
     z = Z.z
+    P.check_rank(z)
     if abs(z[k].imag) > TOL:
         raise GluingDomainError(
             f"glue direction {k} needs a real coordinate there, got {z[k]}")
@@ -63,9 +69,15 @@ def glue(Z: CentralCharge, P: ExchangePattern, k: int) -> CentralCharge:
 
 
 def horocycle_flow(Z: CentralCharge, t: float) -> CentralCharge:
-    return CentralCharge(
-        Z.chart,
-        tuple(complex(c.real + t * c.imag, c.imag) for c in Z.z))
+    """z -> Re z + t Im z + i Im z.  A non-finite t raises
+    PreconditionError, and a flow that leaves the float range
+    FloatRangeError."""
+    if not math.isfinite(t):
+        raise PreconditionError(f"flow time must be finite, got {t}")
+    z = tuple(complex(c.real + t * c.imag, c.imag) for c in Z.z)
+    if not all(map(cmath.isfinite, z)):
+        raise FloatRangeError(f"the flow at t={t} leaves the float range")
+    return CentralCharge(Z.chart, z)
 
 
 def lift(P: ExchangePattern, g: PositivePoint,

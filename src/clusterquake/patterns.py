@@ -16,11 +16,17 @@ G-matrix and its cone generators, each stepped from its parent cone by
 an integer one-step recursion.  Its F-polynomials are not built with it:
 the first read of a cluster's F mutates them down from the nearest
 ancestor that has them, and keeps them, so the build, the fan and point
-location build none.  No labeled edge is stored either: the records
-form the cluster-level exchange graph, each holding its parent's
-position in the record list and its landings, the cluster and
-relabeling that each mutation reaches.  They fix every labeled edge, and
-the pattern reads an edge's far end off them (ExchangePattern.neighbor).
+location build none.  The based matrices and the opposite cone matrix
+are kept on the record as well, built for the cluster's first vertex
+on first read; the readers of one vertex's cone, signs, based matrices
+and identities take the record's rows or columns by the vertex's label
+and build no PatternVertex themselves (only the one walk per cluster
+behind the based matrices builds the vertices on its route).  No
+labeled edge is stored either: the records form the cluster-level
+exchange graph, each holding its parent's position in the record list
+and its landings, the cluster and relabeling that each mutation
+reaches.  They fix every labeled edge, and the pattern reads an edge's
+far end off them (ExchangePattern.neighbor).
 A record's position in the list is its cluster id and its position in
 fan(), which returns the records.  The pattern object then answers the
 derived questions: tropical signs, cones and the fan, the based
@@ -51,7 +57,7 @@ from __future__ import annotations
 import os
 import time
 from functools import cached_property
-from operator import mul
+from operator import index, mul
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -165,8 +171,12 @@ class Cone:
     landed seed being row tau[i] of that cluster's canonical seed, or None
     while that mutation has not been made: all n are made when the BFS
     pops the cluster's first vertex, so only a cluster not yet popped
-    (in a partial pattern) lacks some.  Fs stays None until
-    _f_polynomials builds it."""
+    (in a partial pattern) lacks some.
+
+    The rest is built on first read and kept, for the first vertex: Fs by
+    _f_polynomials, based by ExchangePattern.based_matrices and opp_cone
+    by ExchangePattern.opposite_cone_matrix.  A member labeled p reads
+    them with its direction i taken from direction p[i]."""
 
     eps: ExchangeMatrix
     C: intmat.IntMatrix
@@ -177,6 +187,8 @@ class Cone:
     landings: list  # direction -> (position, tau), or None
     Fs: tuple | None = None
     ids: dict = field(default_factory=dict)
+    based: BasedMatrices | None = None  # the first vertex's based_matrices
+    opp_cone: tuple | None = None  # the first vertex's C^{-s}_{v->v0}
 
     @property
     def vertex_id(self):
@@ -187,6 +199,20 @@ class Cone:
     def members(self):
         """All vertex ids sharing this cone, ascending."""
         return tuple(self.ids.values())
+
+
+def _is_id(vid, n):
+    """Whether vid is a vertex id of a pattern of n vertices: an integer
+    (an int, or what operator.index takes) in range(n)."""
+    try:
+        return 0 <= index(vid) < n
+    except TypeError:  # no integer, or an array of more than one
+        return False
+
+
+def _columns(M, p):
+    """M with column i taken from column p[i]."""
+    return tuple(tuple(map(row.__getitem__, p)) for row in M)
 
 
 def _f_polynomials(cones, c):
@@ -237,8 +263,6 @@ class ExchangePattern:
         self.base = 0
         self.type_tag = type_tag
         self.cap = cap
-        self._based_cache = {}
-        self._opp_cone_cache = {}
         self._opposite = None
         self._fan = None
         self._bfs_s = bfs_s
@@ -263,26 +287,24 @@ class ExchangePattern:
     def __len__(self):
         return len(self._slots)
 
-    def _label(self, vid):
-        """The label (cluster id, p) of vertex vid; PreconditionError when
-        vid is not an id in range(len(self))."""
-        if 0 <= vid < len(self._labels):
-            return self._labels[vid]
+    def _record(self, vid):
+        """(cone, p): the Cone record of vertex vid's cluster and the
+        vertex's label p; PreconditionError when vid is not an integer in
+        range(len(self))."""
+        if _is_id(vid, len(self._labels)):
+            c, p = self._labels[vid]
+            return self._cones[c], p
         raise PreconditionError(f"vertex id {vid} not in range({len(self)})")
 
     def _build(self, vid):
         """The PatternVertex of an empty slot: its cone's canonical seed
         with the rows permuted by its label.  Fs is left unset, to be read
         from the cone on first access (see PatternVertex)."""
-        c, p = self._label(vid)
-        cone = self._cones[c]
-        e = cone.eps.entries
-        C, Cdual, G = (tuple(map(m.__getitem__, p))
-                       for m in (cone.C, cone.inequalities, cone.G))
+        cone, p = self._record(vid)
+        eps, C, Cdual, G = (tuple(map(m.__getitem__, p)) for m in (
+            cone.eps.entries, cone.C, cone.inequalities, cone.G))
         v = self._slots[vid] = PatternVertex(
-            id=vid,
-            eps=ExchangeMatrix(
-                tuple(tuple(map(e[a].__getitem__, p)) for a in p), cone.eps.d),
+            id=index(vid), eps=ExchangeMatrix(_columns(eps, p), cone.eps.d),
             C=C, Cdual=Cdual, G=G, Fs=None,
             f_source=(self._cones, self._labels))
         object.__delattr__(v, "Fs")
@@ -290,14 +312,14 @@ class ExchangePattern:
 
     def vertex(self, vid) -> PatternVertex:
         # a slot read would wrap a negative vid: _build raises for it
-        return 0 <= vid < len(self) and self._slots[vid] or self._build(vid)
+        return _is_id(vid, len(self)) and self._slots[vid] or self._build(vid)
 
     def neighbor(self, vid, edge):
         """The vertex at the other end of edge, ("mu", k) or ("perm",
         images), from vertex vid, read off the cone records.  Raises
-        PreconditionError when vid is not an id in range(len(self)), edge
-        is not an edge label, or the edge leaves a partial pattern."""
-        if 0 <= vid < len(self) and edge in self._edge_labels:
+        PreconditionError when vid is not an integer in range(len(self)),
+        edge is not an edge label, or the edge leaves a partial pattern."""
+        if _is_id(vid, len(self)) and edge in self._edge_labels:
             wid = self._far_end(vid, edge)
             if wid is not None:
                 return wid
@@ -347,7 +369,7 @@ class ExchangePattern:
         """
         parents = self._parents
         n = len(parents)
-        if not (0 <= src < n and 0 <= dst < n):
+        if not (_is_id(src, n) and _is_id(dst, n)):
             raise PreconditionError(
                 f"charts {src} and {dst} must be vertex ids in range({n})")
         up, down = [], []
@@ -370,9 +392,7 @@ class ExchangePattern:
         A mutation edge k becomes mutation(state, eps, k), with eps the
         entries of the exchange matrix of the chart the step starts from;
         a relabel edge permutes the entries of state by its images."""
-        if len(state) != self.n:
-            raise PreconditionError(f"point has {len(state)} coordinates, "
-                                    f"pattern has rank {self.n}")
+        self.check_rank(state)
         slots = self._slots
         for at, edge in self.route(src, dst):
             if edge[0] == "mu":
@@ -383,42 +403,44 @@ class ExchangePattern:
                 state = _steps.apply_perm(state, edge[1])
         return state
 
+    def check_rank(self, coords):
+        """PreconditionError unless coords has one entry per direction."""
+        if len(coords) != self.n:
+            raise PreconditionError(f"point has {len(coords)} coordinates, "
+                                    f"pattern has rank {self.n}")
+
     # -- per-vertex derived data ------------------------------------------
 
     def tropical_sign(self, vid, k):
         """Sign (+1/-1) of the k-th c-vector at the given vertex."""
-        return _row_sign(self.vertex(vid).C[k])
-
-    def _generators(self, vid):
-        """The cone generators of vid (the columns of cone_matrix(vid))."""
-        c, p = self._label(vid)
-        return tuple(map(self._cones[c].generators.__getitem__, p))
+        cone, p = self._record(vid)
+        return _row_sign(cone.C[p[k]])
 
     def cone_matrix(self, vid):
         """C^s_{v->v0}: transport of the chart-v basis vectors to the base
         chart (columns are the cone generators), read off the generators
         its cone carries."""
-        return tuple(zip(*self._generators(vid)))
+        cone, p = self._record(vid)
+        return tuple(zip(*map(cone.generators.__getitem__, p)))
 
     def cone_matrix_inv(self, vid):
         """C^{-s}_{v0->v}, the inverse of cone_matrix(v): its rows give the
         coordinates of a base-chart point in the cone generators."""
-        return self.vertex(vid).Cdual
+        cone, p = self._record(vid)
+        return tuple(map(cone.inequalities.__getitem__, p))
 
     def based_matrices(self, vid) -> BasedMatrices:
         """C-, F-, and F-degree matrices of the pattern re-based at vid
         with target the original base (C^s_{v->v0}, F^{v->v0}).
 
-        Only the first vertex r of a cluster walks the route.  r carries
-        the identity label, so direction i of another member v, labeled
-        p, is direction p[i] of r, and v's matrices are r's with every C
-        column, F exponent and Fmat column i taken from p[i]."""
-        based = self._based_cache.get(vid)
-        if based is not None:
-            return based
-        c, p = self._label(vid)
-        rep = self._cones[c].vertex_id
-        if rep == vid:
+        Only the first vertex r of a cluster walks the route, once, and
+        its matrices are kept on the cluster's record.  r carries the
+        identity label, so direction i of another member v, labeled p, is
+        direction p[i] of r, and v's matrices are r's with every C column,
+        F exponent and Fmat column i taken from p[i], built on each read
+        and not kept."""
+        cone, p = self._record(vid)
+        if cone.based is None:
             d = self.d
 
             def step(rows, eps, k):
@@ -429,38 +451,33 @@ class ExchangePattern:
 
             start = tuple((row, FPolynomial.constant(self.n))
                           for row in intmat.identity(self.n))
-            C, Fs = zip(*self.walk(start, vid, self.base, step))
-            based = BasedMatrices(C, Fs, f_matrix(Fs))
-        else:
-            r = self.based_matrices(rep)
-
-            def columns(rows):
-                return tuple(tuple(map(row.__getitem__, p)) for row in rows)
-
-            based = BasedMatrices(
-                columns(r.C),
-                tuple(FPolynomial._of(f.nvars, dict(zip(columns(f.terms),
-                                                        f.terms.values())))
-                      for f in r.Fs),
-                columns(r.Fmat))
-        self._based_cache[vid] = based
-        return based
+            C, Fs = zip(*self.walk(start, cone.vertex_id, self.base, step))
+            cone.based = BasedMatrices(C, Fs, f_matrix(Fs))
+        if p == tuple(range(self.n)):  # the first vertex: the record's own
+            return cone.based
+        C, Fs, Fmat = cone.based
+        Fs = tuple(FPolynomial._of(f.nvars, dict(zip(_columns(f.terms, p),
+                                                     f.terms.values())))
+                   for f in Fs)
+        return BasedMatrices(_columns(C, p), Fs, _columns(Fmat, p))
 
     def opposite_cone_matrix(self, vid):
         """C^{-s}_{v->v0}, the cone matrix of the opposite pattern at the
         same path, read off the G-matrix by tropical duality: entry (i, j)
-        is d_i * G_ji / d_j (Nakanishi-Zelevinsky)."""
-        if vid not in self._opp_cone_cache:
-            d, G = self.d, self.vertex(vid).G
-            scaled = [[(di * G[j][i], dj) for j, dj in enumerate(d)]
-                      for i, di in enumerate(d)]
-            if any(a % b for row in scaled for a, b in row):
+        is d_i * G_ji / d_j (Nakanishi-Zelevinsky).  It is built once per
+        cluster, from the canonical G, and a member's is its columns taken
+        by the label: row i of the member's G is row p[i], and p keeps d."""
+        cone, p = self._record(vid)
+        if cone.opp_cone is None:
+            d, G = self.d, cone.G
+            qr = [[divmod(di * G[j][i], dj) for j, dj in enumerate(d)]
+                  for i, di in enumerate(d)]
+            if any(r for row in qr for _, r in row):
                 raise InternalConsistencyError(
-                    f"vertex {vid}: diag(d) * G^T * diag(d)^-1 is not "
-                    "integral")
-            self._opp_cone_cache[vid] = tuple(
-                tuple(a // b for a, b in row) for row in scaled)
-        return self._opp_cone_cache[vid]
+                    f"cone {cone.vertex_id}: diag(d) * G^T * diag(d)^-1 is "
+                    "not integral")
+            cone.opp_cone = tuple(tuple(q for q, _ in row) for row in qr)
+        return _columns(cone.opp_cone, p)
 
     # -- opposite class ----------------------------------------------------
 
@@ -486,22 +503,26 @@ class ExchangePattern:
     def fuGy_check(self, vid):
         """Residual of C^s_{v->v0} + eps^(v0) * F^s_{v->v0} - C^{-s}_{v->v0}
         (exchange matrix taken at the common endpoint v0 of the paths);
-        returns (all_zero, residual_matrix)."""
-        based = self.based_matrices(vid)
-        lhs = intmat.matmul(self.eps0.entries, based.Fmat)
-        lhs = tuple(tuple(c + e for c, e in zip(crow, erow))
-                    for crow, erow in zip(based.C, lhs))
-        rhs = self.opposite_cone_matrix(vid)
-        residual = tuple(tuple(a - b for a, b in zip(ra, rb))
-                         for ra, rb in zip(lhs, rhs))
+        returns (all_zero, residual_matrix).  C and Fmat are the columns
+        of the cluster's, taken by v's label; no F-polynomial is
+        permuted."""
+        cone, p = self._record(vid)
+        based = self.based_matrices(cone.vertex_id)
+        eF = intmat.matmul(self.eps0.entries, _columns(based.Fmat, p))
+        residual = tuple(tuple(c + e - o for c, e, o in zip(*rows))
+                         for rows in zip(_columns(based.C, p), eF,
+                                         self.opposite_cone_matrix(vid)))
         ok = all(x == 0 for row in residual for x in row)
         return ok, residual
 
     def fc_product(self, vid, sign=1):
-        """F^s_{v->v0} * C^{(+/-)s}_{v0->v} and whether it is entrywise <= 0."""
-        v = self.vertex(vid)
-        product = intmat.matmul(self.based_matrices(vid).Fmat,
-                                v.C if sign >= 0 else v.Cdual)
+        """F^s_{v->v0} * C^{(+/-)s}_{v0->v} and whether it is entrywise <= 0.
+
+        v's label p takes both the columns of F^s and the rows of C^{+/-s}
+        from p, so the product is its cluster's, read off the record."""
+        cone, _ = self._record(vid)
+        product = intmat.matmul(self.based_matrices(cone.vertex_id).Fmat,
+                                cone.C if sign >= 0 else cone.inequalities)
         ok = all(x <= 0 for row in product for x in row)
         return product, ok
 
@@ -581,7 +602,8 @@ class ExchangePattern:
 
     def ray(self, vid, k):
         """Base-chart coordinates of the k-th cone generator of vertex vid."""
-        return self._generators(vid)[k]
+        cone, p = self._record(vid)
+        return cone.generators[p[k]]
 
     # -- observability --------------------------------------------------------
 
@@ -590,10 +612,12 @@ class ExchangePattern:
         """Counts, CPU seconds per phase and cache sizes, as a dict.
 
         Builds the fan and its orthant index if they have not been built.
-        `vertex_cache` counts the vertices built so far, and `f_clusters`
-        the clusters whose F-polynomials are built (the base's from the
-        start).  `orthants` counts the orthants that hold a cone, and
-        `orthant_max` the cones of the fullest one.  The edges are
+        `vertex_cache` counts the vertices built so far, `f_clusters` the
+        clusters whose F-polynomials are built (the base's from the
+        start), and `based_cache` the clusters whose based matrices are
+        built: no cache is kept per vertex but the built vertices.
+        `orthants` counts the orthants that hold a cone, and `orthant_max`
+        the cones of the fullest one.  The edges are
         counted off the landings, with no edge map and no vertex built."""
         fan = self.fan()
         buckets = self.orthants.buckets
@@ -605,7 +629,7 @@ class ExchangePattern:
             "cones": len(fan),
             "bfs_s": self._bfs_s,
             "fan_s": self._fan_s,
-            "based_cache": len(self._based_cache),
+            "based_cache": sum(c.based is not None for c in self._cones),
             "f_clusters": sum(cone.Fs is not None for cone in self._cones),
             "vertex_cache": len(self._slots) - self._slots.count(None),
             "orthants": len(buckets),

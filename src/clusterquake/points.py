@@ -210,6 +210,7 @@ def _pow(base, e):
 def separation_eval(P: ExchangePattern, vid: int, X0):
     """X-coordinates at chart vid from base-chart values X0, through the
     separation formula X_i = prod_j X0_j^{c_ij} * F_j(X0)^{eps_ij}."""
+    P.check_rank(X0)
     if any(not x > 0 for x in X0):
         raise CoordinateError("separation formula needs positive coordinates")
     v = P.vertex(vid)

@@ -9,6 +9,7 @@ from clusterquake import (
     BoundaryError,
     CentralCharge,
     CoordinateError,
+    FloatRangeError,
     GluingDomainError,
     PositivePoint,
     PreconditionError,
@@ -40,6 +41,34 @@ def test_central_charge_entries_raise_coordinate_error(z):
     # a ValueError still, as before the error was typed
     with pytest.raises(CoordinateError):
         CentralCharge(0, z)
+
+
+@pytest.mark.parametrize("z0", [math.nan, math.inf, complex(1, math.inf)],
+                         ids=["nan", "inf", "inf_imaginary"])
+def test_central_charge_non_finite_entries_raise_coordinate_error(z0):
+    with pytest.raises(CoordinateError, match="entry 0 .* not finite"):
+        CentralCharge(0, (z0, 1j))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_horocycle_flow_needs_a_finite_time(t):
+    with pytest.raises(PreconditionError, match="flow time must be finite"):
+        horocycle_flow(CentralCharge(0, (1 + 1j, 1j)), t)
+
+
+def test_horocycle_flow_leaving_the_float_range_raises_float_range_error():
+    # both inputs are finite; 1e10 * 1e308 is not
+    with pytest.raises(FloatRangeError, match="float range"):
+        horocycle_flow(CentralCharge(0, (1 + 1e10j, 1j)), 1e308)
+
+
+@pytest.mark.parametrize("z", [(1, 1j, 1j), (1,)], ids=["rank_3", "rank_1"])
+def test_glue_of_the_wrong_rank_raises_precondition_error(A2, z):
+    # rank 3 raised IndexError, and rank 1 glued to a rank-1 charge
+    with pytest.raises(PreconditionError,
+                       match=f"point has {len(z)} coordinates, pattern "
+                             "has rank 2"):
+        glue(CentralCharge(0, z), A2, 0)
 
 
 @pytest.mark.parametrize("k", [2, -1])

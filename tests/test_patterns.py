@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import random
+import re
 import time
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from clusterquake import (
@@ -23,6 +26,7 @@ from clusterquake import (
     limit_g,
     locate_cone,
     pattern_from_type,
+    positive_transport,
     quake,
     seed_from_type,
     separation_eval,
@@ -722,19 +726,46 @@ VERTEX_READERS = {
                                     1.0),
     "limit_g": lambda P, v: limit_g(P, PositivePoint(0, (1.0, 1.0)), v),
     "separation_eval": lambda P, v: separation_eval(P, v, (1, 2)),
+    "route": lambda P, v: P.route(0, v),
+    "neighbor": lambda P, v: P.neighbor(v, ("mu", 0)),
+    "positive_transport": lambda P, v: positive_transport(
+        PositivePoint(0, (1.0, 1.0)), P, v),
+}
+# the readers that name the id in words of their own
+READER_MESSAGES = {
+    "route": "charts 0 and {vid} must be vertex ids",
+    "positive_transport": "charts 0 and {vid} must be vertex ids",
+    "neighbor": r"no edge \('mu', 0\) leaves vertex {vid} ",
 }
 
 
 @pytest.mark.parametrize("reader", sorted(VERTEX_READERS))
-@pytest.mark.parametrize("where", ["past_the_end", "negative"])
+@pytest.mark.parametrize("where", ["past_the_end", "negative", "non_integer"])
 def test_vertex_ids_out_of_range_raise_precondition_error(reader, where):
-    # an id of -1 used to read the last vertex, and one past the end
-    # raised IndexError
+    # an id of -1 used to read the last vertex, one past the end raised
+    # IndexError, and 1.5 a bare TypeError
     P = a2()
-    vid = len(P) if where == "past_the_end" else -1
-    with pytest.raises(PreconditionError, match=f"vertex id {vid} not in"):
+    vid = {"past_the_end": len(P), "negative": -1, "non_integer": 1.5}[where]
+    match = READER_MESSAGES.get(reader, "vertex id {vid} not in")
+    with pytest.raises(PreconditionError,
+                       match=match.format(vid=re.escape(str(vid)))):
         VERTEX_READERS[reader](P, vid)
-    assert not P._based_cache and P._slots.count(None) == len(P)
+    # nothing was built, per vertex or per cluster
+    assert P.stats["based_cache"] == P.stats["vertex_cache"] == 0
+    assert all(cone.opp_cone is None for cone in P.fan())
+
+
+def test_numpy_integer_vertex_ids_are_read():
+    # predict returns numpy integers, which name vertices as ints do; a
+    # vertex first built from one still has an int id, which JSON takes
+    P = pattern_from_type("B3")
+    vid = np.int64(7)
+    assert type(P.vertex(vid).id) is int
+    json.dumps(P.to_json_obj())
+    assert P.vertex(vid) == P.vertex(7)
+    assert P.route(0, vid) == P.route(0, 7)
+    assert P.neighbor(vid, ("mu", 1)) == P.neighbor(7, ("mu", 1))
+    assert P.opposite_cone_matrix(vid) == P.opposite_cone_matrix(7)
 
 
 def test_library_paths_read_no_edge_map():
@@ -770,9 +801,10 @@ def test_stats():
     # D4's 50 cones fill all 16 orthants; the fullest holds 15
     assert stats["orthants"] == 16 and stats["orthant_max"] == 15
     # vertex 7 is not its cluster's first, which walks the route for it
+    # and keeps its matrices on the record; vertex 7's are not kept
     assert 7 not in {c.vertex_id for c in P.fan()}
     P.based_matrices(7)
-    assert P.stats["based_cache"] == 2 and P.stats["f_clusters"] == 1
+    assert P.stats["based_cache"] == 1 and P.stats["f_clusters"] == 1
     # one vertex's F builds those of its cluster's BFS ancestors only
     P.vertex(1199).Fs
     assert 0 < P.stats["vertex_cache"] < 1200
@@ -813,9 +845,58 @@ def test_opposite_cone_matrix_must_be_integral():
     # B2 has d = (1, 2): entry (0, 1) is d_0 * G_10 / d_1 = G_10 / 2
     P = pattern_from_type("B2")
     odd_g = ((1, 0), (1, 1))
-    P._slots[0] = dataclasses.replace(P.vertex(0), G=odd_g)
+    P.fan()[0].G = odd_g
     with pytest.raises(InternalConsistencyError, match="integral"):
         P.opposite_cone_matrix(0)
+
+
+def vertex_identity_oracle(P, vid):
+    """The readers of vertex vid's identity data, by their formulas on the
+    PatternVertex's own G, C and Cdual, and on based_matrices(vid)."""
+    v = P.vertex(vid)
+    based = P.based_matrices(vid)
+    d = P.d
+    opp = tuple(tuple(divmod(d[i] * v.G[j][i], d[j]) for j in range(P.n))
+                for i in range(P.n))
+    assert not any(r for row in opp for _, r in row), vid
+    opp = tuple(tuple(q for q, _ in row) for row in opp)
+    lhs = intmat.matmul(P.eps0.entries, based.Fmat)
+    residual = tuple(tuple(c + e - o for c, e, o in zip(*rows))
+                     for rows in zip(based.C, lhs, opp))
+    products = [intmat.matmul(based.Fmat, M) for M in (v.C, v.Cdual)]
+    return {
+        "opposite_cone_matrix": opp,
+        "fc_product": [(m, all(x <= 0 for row in m for x in row))
+                       for m in products],
+        "tropical_sign": [1 if min(row) >= 0 else -1 for row in v.C],
+        "cone_matrix_inv": v.Cdual,
+        "fuGy_check": (not any(map(any, residual)), residual),
+    }
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES + ["A5", "B5", "D5"])
+def test_identity_data_read_off_the_records_match_each_vertex(label):
+    # the readers take each vertex's data from its cluster's record,
+    # through its label: exactly what the vertex's own matrices give
+    P = pattern_from_type(label)
+    for vid in range(len(P)):
+        assert vertex_identity_oracle(P, vid) == {
+            "opposite_cone_matrix": P.opposite_cone_matrix(vid),
+            "fc_product": [P.fc_product(vid, 1), P.fc_product(vid, -1)],
+            "tropical_sign": [P.tropical_sign(vid, k) for k in range(P.n)],
+            "cone_matrix_inv": P.cone_matrix_inv(vid),
+            "fuGy_check": P.fuGy_check(vid),
+        }, vid
+
+
+def test_matrices_suite_builds_no_vertex():
+    # every vertex's checks read its cluster's record; the only vertices
+    # built are those on the one route each cluster's based matrices walk,
+    # its first vertex's to the base, which holds first vertices only
+    P = pattern_from_type("D4")
+    assert checks.matrices(P, random.Random(0))[0].ok
+    assert P.stats["based_cache"] == 50
+    assert P.stats["vertex_cache"] <= 50
 
 
 def assert_prefix_of_oracle(partial, oracle):

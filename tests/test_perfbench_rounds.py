@@ -1,7 +1,8 @@
-"""The benchmark's in-process workloads read the library's public API
+"""The benchmark's workloads read the library's public API
 (Cone.generators, mut_edges, opposite_vertex, vertex_sequence,
-cone_matrix_inv, based_matrices, ...); one round of each must still run
-with no failed operation and no failed check, or the benchmark breaks."""
+cone_matrix_inv, based_matrices, ...) and its command line; one round of
+each, the cli workload's child processes included, must still run with
+no failed operation and no failed check, or the benchmark breaks."""
 
 import json
 import os
@@ -12,14 +13,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # Set-up, inputs and one round with a fresh Phase, as perfbench/workloads.py
-# runs them, for each in-process workload.
+# runs them, for each workload; the cli one starts its children with this
+# process's environment, so they import the same source.
 ROUND = """
 import json, random, sys
 sys.path.insert(0, sys.argv[1])
 import workloads
 import clusterquake as cq
 out = {}
-for name in ("enumerate", "point_stream", "batch"):
+for name in ("enumerate", "point_stream", "batch", "cli"):
     rng = random.Random(1)
     workload = workloads.WORKLOADS[name](cq, rng)
     inputs = workload.inputs(rng)

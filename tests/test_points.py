@@ -235,6 +235,13 @@ def test_separation_eval_raises_coordinate_error(A2, X0):
         separation_eval(A2, 0, X0)
 
 
+def test_separation_eval_of_the_wrong_rank_raises_precondition_error(A2):
+    # a bare ValueError came from the F-polynomial evaluation
+    with pytest.raises(PreconditionError,
+                       match="point has 3 coordinates, pattern has rank 2"):
+        separation_eval(A2, 3, (1.0, 2.0, 3.0))
+
+
 def test_transport_requires_matching_rank(A2):
     with pytest.raises(ValueError):
         positive_transport(PositivePoint(0, (1.0, 2.0, 3.0)), A2, 1)
