@@ -8,6 +8,7 @@ Ranks in finite type never exceed 8, so no attempt at being clever.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import InternalConsistencyError
 
@@ -23,14 +24,15 @@ def transpose(m: IntMatrix) -> IntMatrix:
 
 
 def matmul(a, b) -> IntMatrix:
+    """a * b.  Each entry is summed left to right from the int 0, so a
+    float entry rounds as the plain loop would."""
     bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def matvec(m, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    """m * v, summed as in matmul."""
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def column(m, j):

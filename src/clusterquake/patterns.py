@@ -10,10 +10,12 @@ vertex; the labeled layer is only a numbering over the records: every
 labeled vertex is its cluster's canonical seed with the rows permuted,
 stored as the pair (cluster id, permutation), numbered through the
 record's map from permutations to vertex ids, and built into a
-PatternVertex the first time it is read.  Each record carries its
-cluster's C-matrix, its dual C-matrix C^- (the cone's inequalities), its
-G-matrix and its cone generators, each stepped from its parent cone by
-an integer one-step recursion.  Its F-polynomials are not built with it:
+PatternVertex the first time it is read.  Each distinct permutation is
+one tuple, shared by every vertex and map key that carries it, and a
+labeled step composes permutations by one operator.itemgetter call.
+Each record carries its cluster's C-matrix, its dual C-matrix C^- (the
+cone's inequalities), its G-matrix and its cone generators, each
+stepped from its parent cone by an integer one-step recursion.  Its F-polynomials are not built with it:
 the first read of a cluster's F mutates them down from the nearest
 ancestor that has them, and keeps them, so the build, the fan and point
 location build none.  The based matrices and the opposite cone matrix
@@ -56,8 +58,10 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from functools import cached_property
-from operator import index, mul
+from math import factorial, prod
+from operator import index, itemgetter, mul
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -215,6 +219,14 @@ def _columns(M, p):
     return tuple(tuple(map(row.__getitem__, p)) for row in M)
 
 
+def _composer(p):
+    """The map t -> t o p = (t[p[0]], ..., t[p[n-1]]) on n-tuples: one
+    itemgetter, made once and applied to many t.  At rank 1 itemgetter
+    would return the entry itself, and the one label is (0,), so tuple
+    stands in."""
+    return itemgetter(*p) if len(p) > 1 else tuple
+
+
 def _f_polynomials(cones, c):
     """The F-polynomials of cones[c], built on first read: one mutate_F
     for each cone between it and its nearest ancestor that has them, each
@@ -294,7 +306,8 @@ class ExchangePattern:
         if _is_id(vid, len(self._labels)):
             c, p = self._labels[vid]
             return self._cones[c], p
-        raise PreconditionError(f"vertex id {vid} not in range({len(self)})")
+        raise PreconditionError(
+            f"vertex id {vid!r} not in range({len(self)})")
 
     def _build(self, vid):
         """The PatternVertex of an empty slot: its cone's canonical seed
@@ -323,8 +336,8 @@ class ExchangePattern:
             wid = self._far_end(vid, edge)
             if wid is not None:
                 return wid
-        raise PreconditionError(f"no edge {edge} leaves vertex {vid} in this "
-                                f"pattern of {len(self)} vertices")
+        raise PreconditionError(f"no edge {edge} leaves vertex {vid!r} in "
+                                f"this pattern of {len(self)} vertices")
 
     def _far_end(self, vid, edge):
         """neighbor(vid, edge) for a vertex id and an edge label, or None
@@ -334,10 +347,10 @@ class ExchangePattern:
         landing cones[c].landings[p[k]], as enumerate_pattern steps."""
         c, p = self._labels[vid]
         if edge[0] == "perm":
-            return self._cones[c].ids.get(tuple(map(p.__getitem__, edge[1])))
+            return self._cones[c].ids.get(_composer(edge[1])(p))
         # a mutation not yet made leads to no label
         c, tau = self._cones[c].landings[p[edge[1]]] or (c, None)
-        return tau and self._cones[c].ids.get(tuple(map(tau.__getitem__, p)))
+        return tau and self._cones[c].ids.get(_composer(p)(tau))
 
     def _edges(self, kind):
         """(vid, arg, neighbor(vid, (kind, arg))) for every edge of that kind
@@ -371,7 +384,8 @@ class ExchangePattern:
         n = len(parents)
         if not (_is_id(src, n) and _is_id(dst, n)):
             raise PreconditionError(
-                f"charts {src} and {dst} must be vertex ids in range({n})")
+                f"charts {src!r} and {dst!r} must be vertex ids in "
+                f"range({n})")
         up, down = [], []
         while src != dst:
             if src > dst:
@@ -617,15 +631,30 @@ class ExchangePattern:
         start), and `based_cache` the clusters whose based matrices are
         built: no cache is kept per vertex but the built vertices.
         `orthants` counts the orthants that hold a cone, and `orthant_max`
-        the cones of the fullest one.  The edges are
-        counted off the landings, with no edge map and no vertex built."""
+        the cones of the fullest one.
+
+        No edge map is built and no vertex.  On a complete pattern, where
+        every record has all n landings and every cluster all of its
+        prod m_i! labels (one per permutation that keeps d), each vertex
+        has n mutation edges and one relabel edge per admissible
+        transposition, none a loop: so V*n/2 and V*t/2 edges.  A partial
+        pattern's edges are counted by walking the landings."""
         fan = self.fan()
         buckets = self.orthants.buckets
+        V = len(self)
+        t = len(self._edge_labels) - self.n
+        per_cluster = prod(map(factorial, Counter(self.d).values()))
+        if (V == len(self._cones) * per_cluster
+                and all(None not in cone.landings for cone in self._cones)):
+            mu, perm = V * self.n // 2, V * t // 2
+        else:
+            mu, perm = (sum(v < w for v, _, w in self._edges(kind))
+                        for kind in ("mu", "perm"))
         return {
-            "vertices": len(self),
+            "vertices": V,
             "clusters": len(self._cones),
-            "mutation_edges": sum(v < w for v, _, w in self._edges("mu")),
-            "relabel_edges": sum(v < w for v, _, w in self._edges("perm")),
+            "mutation_edges": mu,
+            "relabel_edges": perm,
             "cones": len(fan),
             "bfs_s": self._bfs_s,
             "fan_s": self._fan_s,
@@ -723,9 +752,14 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     landings, as (cluster', tau) with row i of the landed seed equal to
     row tau[i] of the canonical seed of cluster' (clusters are keyed by
     their set of c-vectors); a labeled step (cluster, p) -> (cluster',
-    tau o p) only reads it.  A new cluster is only ever made at the first
-    vertex of its parent cluster, which carries the identity label, so
-    the new cluster's first vertex is labeled by the identity as well.
+    tau o p) only reads it.  It composes by itemgetter(*p), made once per
+    popped vertex and applied to each landing's tau, and a relabeling by
+    one getter per admissible transposition, made once per build (see
+    _composer).  Each distinct label is stored as one tuple, which every
+    vertex and ids key that carries it shares.  A new cluster is only
+    ever made at the first vertex of its parent cluster, which carries
+    the identity label, so the new cluster's first vertex is labeled by
+    the identity as well.
 
     Raises NotFiniteTypeError at the first exchange matrix that shows the
     class is not of finite type, and PatternBudgetError when the vertex
@@ -743,9 +777,13 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     cluster_of = {}  # frozenset of c-vectors -> cluster id
     labels = []  # vid -> (cluster id, p)
     parents = []  # vid -> (BFS parent id, edge); None at the base
-    # one tuple per edge label, shared by every tree edge that takes it
+    shared = {}.setdefault  # one tuple per distinct label
+    # one tuple per edge label, shared by every tree edge that takes it;
+    # row i of a seed relabeled by a transposition is row images^-1(i) =
+    # images(i) (a transposition is its own inverse): it is labeled
+    # p o images
     mu_steps = [(k, ("mu", k)) for k in range(n)]
-    perm_steps = [(s.images, ("perm", s.images))
+    perm_steps = [(_composer(s.images), ("perm", s.images))
                   for s in eps0.admissible_transpositions()]
 
     def pattern_so_far():
@@ -796,6 +834,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                 f"exchange graph exceeds {cap} vertices; the mutation class "
                 "does not look finite (raise the cap via CLUSTER_QUAKE_CAP "
                 "if it is)", partial=pattern_so_far())
+        p = shared(p, p)
         labels.append((c, p))
         parents.append(parent)
         cones[c].ids[p] = vid
@@ -825,16 +864,14 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                 cones[c].landings[q] or mutate(c, q)
         # the far ends' labels, as ExchangePattern._far_end makes them; one
         # already in its cone's ids is an edge already found
-        landings, ids = cones[c].landings, cones[c].ids
+        landings, ids, at = cones[c].landings, cones[c].ids, _composer(p)
         for k, step in mu_steps:
             target, tau = landings[p[k]]
-            q = tuple(map(tau.__getitem__, p))
+            q = at(tau)
             if q not in cones[target].ids:
                 add(target, q, (vid, step))
-        for images, step in perm_steps:
-            # row i of the relabeled seed is row images^-1(i) = images(i)
-            # (a transposition is its own inverse)
-            q = tuple(map(p.__getitem__, images))
+        for get, step in perm_steps:
+            q = get(p)
             if q not in ids:
                 add(c, q, (vid, step))
     return pattern_so_far()

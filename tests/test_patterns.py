@@ -619,6 +619,30 @@ def test_cluster_memo_matches_labeled_bfs_oracle(label):
             == [(c.vertex_id, c.generators, c.members) for c in oracle.fan()])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: pattern_from_type("A1"),
+    lambda: enumerate_pattern(ExchangeMatrix.make([[0]]))], ids=["A1", "0"])
+def test_rank_one_pattern_matches_labeled_bfs_oracle(make):
+    # at rank 1 the one label is (0,), where itemgetter(0) would give the
+    # bare entry 0
+    P = make()
+    assert len(P) == 2 and len(P.fan()) == 2
+    assert P._labels == [(0, (0,)), (1, (0,))]
+    oracle = labeled_bfs_oracle(P.eps0, P.type_tag)
+    assert (P._labels, P._parents) == (oracle._labels, oracle._parents)
+    assert ([list(c.ids.items()) for c in P._cones]
+            == [list(c.ids.items()) for c in oracle._cones])
+
+
+def test_each_label_is_one_shared_tuple():
+    # D4's 1200 vertices carry its 4! labels, the base's identity included
+    P = pattern_from_type("D4")
+    assert len({p for _, p in P._labels}) == 24
+    assert len({id(p) for _, p in P._labels}) == 24
+    assert all(key is P._labels[vid][1]
+               for cone in P._cones for key, vid in cone.ids.items())
+
+
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)
 def test_f_polynomials_mutated_once_per_new_cluster(label, monkeypatch):
     # the build, the fan, the vertices and the cone matrices read no F;
@@ -740,15 +764,18 @@ READER_MESSAGES = {
 
 
 @pytest.mark.parametrize("reader", sorted(VERTEX_READERS))
-@pytest.mark.parametrize("where", ["past_the_end", "negative", "non_integer"])
+@pytest.mark.parametrize("where", ["past_the_end", "negative", "non_integer",
+                                   "string"])
 def test_vertex_ids_out_of_range_raise_precondition_error(reader, where):
     # an id of -1 used to read the last vertex, one past the end raised
-    # IndexError, and 1.5 a bare TypeError
+    # IndexError, and 1.5 a bare TypeError; the message gives the id's
+    # repr, so "1" does not read as the in-range 1
     P = a2()
-    vid = {"past_the_end": len(P), "negative": -1, "non_integer": 1.5}[where]
+    vid = {"past_the_end": len(P), "negative": -1, "non_integer": 1.5,
+           "string": "1"}[where]
     match = READER_MESSAGES.get(reader, "vertex id {vid} not in")
     with pytest.raises(PreconditionError,
-                       match=match.format(vid=re.escape(str(vid)))):
+                       match=match.format(vid=re.escape(repr(vid)))):
         VERTEX_READERS[reader](P, vid)
     # nothing was built, per vertex or per cluster
     assert P.stats["based_cache"] == P.stats["vertex_cache"] == 0
@@ -809,6 +836,39 @@ def test_stats():
     P.vertex(1199).Fs
     assert 0 < P.stats["vertex_cache"] < 1200
     assert 1 < P.stats["f_clusters"] < 50
+
+
+def walked_edge_counts(P):
+    """(mutation edges, relabel edges) of P, each counted once by walking
+    every vertex's edges off the landings."""
+    return tuple(sum(v < w for v, _, w in P._edges(kind))
+                 for kind in ("mu", "perm"))
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES + ["A5", "B5", "D5"])
+def test_stats_edge_counts_of_a_complete_pattern_are_closed_forms(
+        label, monkeypatch):
+    P = pattern_from_type(label)
+    walked = walked_edge_counts(P)
+    # a complete pattern counts its edges with no walk
+    monkeypatch.setattr(ExchangePattern, "_edges", None)
+    stats = P.stats
+    assert (stats["mutation_edges"], stats["relabel_edges"]) == walked
+    t = len(P.eps0.admissible_transpositions())
+    assert walked == (len(P) * P.n // 2, len(P) * t // 2)
+
+
+@pytest.mark.parametrize("label, caps", [("A3", range(1, 84)),
+                                         ("B3", range(1, 40)),
+                                         ("D4", [1, 7, 50, 333, 1199])])
+def test_stats_edge_counts_of_a_partial_pattern_are_walked(label, caps):
+    for cap in caps:
+        with pytest.raises(PatternBudgetError) as err:
+            pattern_from_type(label, cap=cap)
+        P = err.value.partial
+        stats = P.stats
+        assert (stats["mutation_edges"], stats["relabel_edges"]) == (
+            walked_edge_counts(P)), cap
 
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)
