@@ -15,6 +15,7 @@ from . import intmat
 from .errors import BoundaryError, FloatRangeError
 from .horocycle import CentralCharge, conjugacy_residual, glue, \
     horocycle_flow
+from .patterns import _columns
 from .points import TOL, PositivePoint, TropicalPoint, candidate_cones, \
     in_closed_cone, locate_cone
 
@@ -65,11 +66,21 @@ def _limit_g(pattern, M, vids):
 
 
 def limit_g_rows(pattern, M):
-    """One row per vertex: limit_g's matrix and target at log-size M."""
-    return [{"v": vid, "u_matrix": [list(r) for r in u_matrix],
-             "target": [list(r) for r in target], "err": err}
-            for vid, u_matrix, target, err
-            in _limit_g(pattern, M, range(len(pattern)))]
+    """One row per vertex, in id order: limit_g's matrix and target at
+    log-size M.  limit_g runs once per cone: a member labeled p has the
+    rays of its cone's first vertex, ray k being the cone's ray p[k], so
+    its matrix and target are the cone's with column k taken from column
+    p[k], bit for bit, and its error is the cone's."""
+    fan = pattern.fan()
+    rows = [None] * len(pattern)
+    for cone, (_, u_matrix, target, err) in zip(
+            fan, _limit_g(pattern, M, [cone.vertex_id for cone in fan])):
+        for p, vid in cone.ids.items():
+            rows[vid] = {"v": vid,
+                         "u_matrix": [list(r) for r in _columns(u_matrix, p)],
+                         "target": [list(r) for r in _columns(target, p)],
+                         "err": err}
+    return rows
 
 
 def _positive(pattern, rng, spread):

@@ -59,7 +59,9 @@ def quake_multiplier(P: ExchangePattern, g0: PositivePoint, vid: int,
 
     This is the arithmetic core of quake: exact when g0 and the
     multipliers are rational, which the identity tests rely on.
+    PreconditionError unless there is one multiplier per direction.
     """
+    P.check_rank(multipliers)
     gv = positive_transport(g0, P, vid)
     rescaled = PositivePoint(vid, tuple(m * x for m, x in zip(multipliers, gv.X)))
     return positive_transport(rescaled, P, g0.chart)

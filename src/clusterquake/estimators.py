@@ -37,7 +37,7 @@ from .errors import (
     PreconditionError,
 )
 from .patterns import enumerate_pattern, pattern_from_type
-from .points import TOL, PositivePoint
+from .points import TOL, PositivePoint, _logs
 from .seeds import ExchangeMatrix
 
 # Largest number of floats (cones x rank x rows) an intermediate array
@@ -122,13 +122,14 @@ class EarthquakeTransformer:
             P = enumerate_pattern(self.type_or_matrix, cap=self.cap)
         else:
             P = pattern_from_type(str(self.type_or_matrix), cap=self.cap)
-        self.pattern_ = P
         n = self.n_features_ = P.n
         coords = self.g0 if self.g0 is not None else (1,) * n
         if len(coords) != n:
             raise PreconditionError(
                 f"g0 has {len(coords)} coordinates, seed has rank {n}")
         self.g0_ = PositivePoint(P.base, tuple(coords))
+        _logs(self.g0_.X, "g0")  # FloatRangeError outside the float range
+        self.pattern_ = P
 
         # the fan tree, in fan order: cone i is mutation k[i] of cone
         # parent[i], with column k[i] of eps at the parent going down and

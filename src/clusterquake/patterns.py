@@ -22,13 +22,15 @@ location build none.  The based matrices and the opposite cone matrix
 are kept on the record as well, built for the cluster's first vertex
 on first read; the readers of one vertex's cone, signs, based matrices
 and identities take the record's rows or columns by the vertex's label
-and build no PatternVertex themselves (only the one walk per cluster
-behind the based matrices builds the vertices on its route).  No
-labeled edge is stored either: the records form the cluster-level
-exchange graph, each holding its parent's position in the record list
-and its landings, the cluster and relabeling that each mutation
-reaches.  They fix every labeled edge, and the pattern reads an edge's
-far end off them (ExchangePattern.neighbor).
+and build no PatternVertex.  Neither does a walk from chart to chart
+(ExchangePattern.walk): it carries a state along the records' tree,
+from each cone to its parent, in the clusters' canonical labelings, and
+the labels only renumber its ends.  No labeled edge is stored either:
+the records form the cluster-level exchange graph, each holding its
+parent's position in the record list and its landings, the cluster and
+relabeling that each mutation reaches.  They fix every labeled edge,
+and the pattern reads an edge's far end off them
+(ExchangePattern.neighbor).
 A record's position in the list is its cluster id and its position in
 fan(), which returns the records.  The pattern object then answers the
 derived questions: tropical signs, cones and the fan, the based
@@ -59,13 +61,13 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, prod
 from operator import index, itemgetter, mul
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import _steps, intmat
+from . import intmat
 from .errors import (
     InternalConsistencyError,
     NotFiniteTypeError,
@@ -227,6 +229,15 @@ def _composer(p):
     return itemgetter(*p) if len(p) > 1 else tuple
 
 
+@lru_cache(maxsize=None)
+def _relabelers(p):
+    """The pair of maps between the coordinates of a vertex labeled p and
+    those of its cluster's canonical seed, made once per distinct label:
+    the first puts coordinate i at place p[i] (t -> t o p^-1), the
+    second, _composer(p), takes them back."""
+    return _composer(tuple(map(p.index, range(len(p))))), _composer(p)
+
+
 def _f_polynomials(cones, c):
     """The F-polynomials of cones[c], built on first read: one mutate_F
     for each cone between it and its nearest ancestor that has them, each
@@ -380,12 +391,8 @@ class ExchangePattern:
         edge going up is walked back as it is, since every edge is its own
         inverse (mutations, and relabelings by transpositions).
         """
+        self._check_charts(src, dst)
         parents = self._parents
-        n = len(parents)
-        if not (_is_id(src, n) and _is_id(dst, n)):
-            raise PreconditionError(
-                f"charts {src!r} and {dst!r} must be vertex ids in "
-                f"range({n})")
         up, down = [], []
         while src != dst:
             if src > dst:
@@ -401,21 +408,42 @@ class ExchangePattern:
 
     def walk(self, state, src, dst, mutation):
         """Carry `state`, a sequence indexed by direction, from chart src
-        to chart dst along route(src, dst).
+        to chart dst along the fan tree.
 
-        A mutation edge k becomes mutation(state, eps, k), with eps the
-        entries of the exchange matrix of the chart the step starts from;
-        a relabel edge permutes the entries of state by its images."""
+        Vertex (c, p) sees cluster c's coordinates renumbered by its
+        label: its coordinate i is the cluster's coordinate p[i].  So the
+        state is put into cluster c's canonical labeling, carried from
+        cone to cone, the larger position stepping to its record's parent
+        until the two meet (as route() does with ids), and read out by
+        dst's label.  Each step is mutation(state, eps, k), with eps the
+        entries of the canonical exchange matrix of the cone the step
+        starts from and k the direction that joins the cone to its
+        parent.  No vertex is built and no relabel edge is crossed."""
         self.check_rank(state)
-        slots = self._slots
-        for at, edge in self.route(src, dst):
-            if edge[0] == "mu":
-                state = mutation(state,
-                                 (slots[at] or self._build(at)).eps.entries,
-                                 edge[1])
+        self._check_charts(src, dst)
+        (c, p), (e, q) = self._labels[src], self._labels[dst]
+        state = _relabelers(p)[0](state)
+        cones = self._cones
+        down = []
+        while c != e:
+            if c > e:
+                cone = cones[c]
+                c, k = cone.parent
+                state = mutation(state, cone.eps.entries, k)
             else:
-                state = _steps.apply_perm(state, edge[1])
-        return state
+                e, k = cones[e].parent
+                down.append((cones[e].eps.entries, k))
+        for eps, k in reversed(down):
+            state = mutation(state, eps, k)
+        return _relabelers(q)[1](state)
+
+    def _check_charts(self, src, dst):
+        """PreconditionError unless src and dst are both vertex ids."""
+        n = len(self._labels)
+        if not (_is_id(src, n) and _is_id(dst, n)):
+            raise PreconditionError(
+                f"charts {src!r} and {dst!r} must be vertex ids in "
+                f"range({n})")
 
     def check_rank(self, coords):
         """PreconditionError unless coords has one entry per direction."""
@@ -425,10 +453,19 @@ class ExchangePattern:
 
     # -- per-vertex derived data ------------------------------------------
 
+    def _direction(self, vid, k):
+        """(cone, p[k]): vertex vid's Cone record and the direction of its
+        cluster that is the vertex's direction k; PreconditionError when
+        vid is not a vertex id or k is not an integer in range(n)."""
+        cone, p = self._record(vid)
+        if _is_id(k, self.n):
+            return cone, p[k]
+        raise PreconditionError(f"direction {k!r} not in range({self.n})")
+
     def tropical_sign(self, vid, k):
         """Sign (+1/-1) of the k-th c-vector at the given vertex."""
-        cone, p = self._record(vid)
-        return _row_sign(cone.C[p[k]])
+        cone, j = self._direction(vid, k)
+        return _row_sign(cone.C[j])
 
     def cone_matrix(self, vid):
         """C^s_{v->v0}: transport of the chart-v basis vectors to the base
@@ -447,12 +484,12 @@ class ExchangePattern:
         """C-, F-, and F-degree matrices of the pattern re-based at vid
         with target the original base (C^s_{v->v0}, F^{v->v0}).
 
-        Only the first vertex r of a cluster walks the route, once, and
-        its matrices are kept on the cluster's record.  r carries the
-        identity label, so direction i of another member v, labeled p, is
-        direction p[i] of r, and v's matrices are r's with every C column,
-        F exponent and Fmat column i taken from p[i], built on each read
-        and not kept."""
+        Only the first vertex r of a cluster walks to the base, once,
+        along the fan tree, and its matrices are kept on the cluster's
+        record.  r carries the identity label, so direction i of another
+        member v, labeled p, is direction p[i] of r, and v's matrices are
+        r's with every C column, F exponent and Fmat column i taken from
+        p[i], built on each read and not kept."""
         cone, p = self._record(vid)
         if cone.based is None:
             d = self.d
@@ -616,8 +653,8 @@ class ExchangePattern:
 
     def ray(self, vid, k):
         """Base-chart coordinates of the k-th cone generator of vertex vid."""
-        cone, p = self._record(vid)
-        return cone.generators[p[k]]
+        cone, j = self._direction(vid, k)
+        return cone.generators[j]
 
     # -- observability --------------------------------------------------------
 

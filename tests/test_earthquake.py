@@ -86,6 +86,14 @@ def test_quake_multiplier_exact_frozen():
     assert out.X == (Fraction(1, 2), Fraction(9, 2))
 
 
+def test_quake_multiplier_takes_one_multiplier_per_direction():
+    # zip used to drop the third multiplier on rank 2
+    P = pattern("A2")
+    with pytest.raises(PreconditionError, match="point has 3 coordinates, "
+                       "pattern has rank 2"):
+        quake_multiplier(P, PositivePoint(0, (1.0, 1.0)), 1, (2.0, 3.0, 4.0))
+
+
 def test_quake_result_independent_of_wall_chart():
     # a tropical point on a shared cone face gives the same image through
     # either adjacent chart
@@ -265,6 +273,22 @@ def test_limits_g_check_reads_one_cone_per_cluster(label):
         f"err(M=30)={err30:.2e} < err(M=10)={err10:.2e}")
 
 
+def per_vertex_limit_g_rows(P, M):
+    """limit_g_rows as it was, limit_g run afresh at every vertex."""
+    return [{"v": vid, "u_matrix": [list(r) for r in u_matrix],
+             "target": [list(r) for r in target], "err": err}
+            for vid, u_matrix, target, err
+            in checks._limit_g(P, M, range(len(P)))]
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_limit_g_rows_per_cone_equal_the_per_vertex_rows(label):
+    # a member's rays are its cone's, so its row is its cone's with the
+    # columns taken by its label, bit for bit
+    P = pattern(label)
+    assert checks.limit_g_rows(P, 30.0) == per_vertex_limit_g_rows(P, 30.0)
+
+
 def test_in_plus_region():
     P = pattern("A2")
     g0 = PositivePoint(0, (1.0, 1.0))
@@ -325,7 +349,7 @@ def test_cluster_reduce_preconditions():
 
 def inverse_scan_oracle(P, g0, g):
     """The scan inverse_quake replaced: g and g0 carried to every cone
-    representative by their own routes."""
+    representative by their own walks."""
     for cone in P.fan():
         v = cone.vertex_id
         gv, g0v = positive_transport(g, P, v), positive_transport(g0, P, v)
@@ -357,7 +381,7 @@ def test_inverse_tree_pass_is_bit_identical_from_the_base(label):
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)
 def test_inverse_from_other_charts_stays_within_rounding(label):
-    # the route from another chart now runs through the base, so the
+    # the walk from another chart now runs through the base, so the
     # floats may round differently: within 1e-14 of max(1, |L|)
     P = pattern(label)
     rng = random.Random(label)

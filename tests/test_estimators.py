@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -109,6 +110,17 @@ def test_bad_rows_raise_coordinate_error(method, rows):
 def test_g0_of_the_wrong_length_raises_precondition_error():
     with pytest.raises(PreconditionError):
         EarthquakeTransformer("A2", g0=(1.0, 2.0, 3.0)).fit()
+
+
+@pytest.mark.parametrize("g0, where", [((10 ** 400, 1), "beyond"),
+                                       ((Fraction(1, 10 ** 400), 1), "below")])
+def test_g0_out_of_the_float_range_raises_in_fit(g0, where):
+    # it used to raise a bare OverflowError, or fit inf and nan charts
+    # with numpy warnings and blame the first row transform was given
+    est = EarthquakeTransformer("A2", g0=g0)
+    with pytest.raises(FloatRangeError, match=f"g0 is {where} the float"):
+        est.fit()
+    assert not hasattr(est, "pattern_")
 
 
 def test_fit_requires_a_breadth_first_fan(monkeypatch):

@@ -5,13 +5,17 @@ import re
 import time
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterquake import (
     CentralCharge,
     ExchangeMatrix,
+    FloatRangeError,
     InternalConsistencyError,
     NotFiniteTypeError,
     PatternBudgetError,
@@ -25,11 +29,13 @@ from clusterquake import (
     limit_L,
     limit_g,
     locate_cone,
+    log_transport,
     pattern_from_type,
     positive_transport,
     quake,
     seed_from_type,
     separation_eval,
+    tropical_transport,
 )
 from clusterquake import _steps, checks, intmat, patterns
 from clusterquake.cli import main
@@ -241,11 +247,27 @@ def trop_columns(M, eps, k):
     return tuple(zip(*(_steps.trop_mutation(col, eps, k) for col in zip(*M))))
 
 
+def route_walk(P, state, src, dst, mutation):
+    """P.walk along the labeled BFS tree, as the library walked before it
+    walked the fan tree: on P.route(src, dst), a mutation edge k is
+    mutation(state, eps, k) with eps the entries of the exchange matrix
+    of the vertex the step starts from, and a relabel edge permutes the
+    state by its images.  Kept as the oracle of P.walk, independent of
+    the cone records."""
+    P.check_rank(state)
+    for at, edge in P.route(src, dst):
+        if edge[0] == "mu":
+            state = mutation(state, P.vertex(at).eps.entries, edge[1])
+        else:
+            state = _steps.apply_perm(state, edge[1])
+    return state
+
+
 def walked_cone_matrix(P, vid):
     """C^s_{v->v0} by transporting the chart-v basis vectors to the base
     chart along route(v, base), independently of the generators the
     clusters carry."""
-    return P.walk(intmat.identity(P.n), vid, P.base, trop_columns)
+    return route_walk(P, intmat.identity(P.n), vid, P.base, trop_columns)
 
 
 def walked_based_matrices(P, vid):
@@ -261,7 +283,7 @@ def walked_based_matrices(P, vid):
 
     start = tuple((row, FPolynomial.constant(P.n))
                   for row in intmat.identity(P.n))
-    C, Fs = zip(*P.walk(start, vid, P.base, step))
+    C, Fs = zip(*route_walk(P, start, vid, P.base, step))
     return BasedMatrices(C, Fs, f_matrix(Fs))
 
 
@@ -485,8 +507,8 @@ def test_route_matches_prefix_cancelling_construction():
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
 def test_based_c_matrix_is_the_cone_matrix(label):
-    # C^s_{v->v0} by the C-matrix row recursion and by transporting the
-    # basis vectors, two independent walks of the same route
+    # C^s_{v->v0} by the C-matrix row recursion, walked along the fan
+    # tree, and by the generator recursion of the build
     P = pattern_from_type(label)
     for vid in range(len(P)):
         assert P.based_matrices(vid).C == P.cone_matrix(vid), vid
@@ -688,6 +710,93 @@ def test_carried_cone_data_match_route_walks(label):
         assert P.based_matrices(vid) == walked_based_matrices(P, vid), vid
 
 
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_walk_matches_route_walk_exactly(label):
+    # the fan-tree walk against the labeled-route walk, on every vertex:
+    # from the base, to the base, and to the vertex of the reflected id,
+    # whose ends mostly meet below the base; int tropical and Fraction
+    # positive states are exact, so the two must be equal
+    P = pattern_from_type(label)
+    x = (3, -5, 2, 7)[:P.n]
+    X = (Fraction(1, 2), Fraction(3), Fraction(2, 3), Fraction(5, 4))[:P.n]
+    for vid in range(len(P)):
+        for src, dst in ((P.base, vid), (vid, P.base), (vid, len(P) - 1 - vid)):
+            for state, step in ((x, _steps.trop_mutation),
+                                (X, _steps.pos_mutation)):
+                assert P.walk(state, src, dst, step) == route_walk(
+                    P, state, src, dst, step), (src, dst)
+
+
+@lru_cache(maxsize=None)
+def walk_pattern(label):
+    return pattern_from_type(label)
+
+
+def transport_outcome(transport, *args):
+    """The reprs of the coordinates transport(*args) gives, so that nan
+    and the sign of a zero count, or FloatRangeError."""
+    try:
+        return tuple(map(repr, transport(*args)))
+    except FloatRangeError:
+        return FloatRangeError
+
+
+WALK_TRANSPORTS = {
+    "tropical": lambda P, x, src, dst: tropical_transport(
+        TropicalPoint(src, x), P, dst).x,
+    "positive": lambda P, X, src, dst: positive_transport(
+        PositivePoint(src, X), P, dst).X,
+    "log": lambda P, u, src, dst: log_transport(u, P, src, dst),
+}
+# |x| from 1e-300 to 1e300, spread evenly over the exponents
+MAGNITUDES = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1, 10),
+                       st.integers(-300, 299))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["A3", "B3", "D4"]), st.data())
+def test_member_chart_transport_is_its_cone_chart_transport_permuted(
+        label, data):
+    # member v labeled p sees its cone chart's coordinates renumbered:
+    # its coordinate i is the cone chart's p[i].  The walk from or to v
+    # makes the cone chart's steps, so its floats are the cone chart's,
+    # bit for bit, and either both leave the float range or neither does
+    P = walk_pattern(label)
+    vid, other = (data.draw(st.integers(0, len(P) - 1)) for _ in range(2))
+    c, p = P._labels[vid]
+    rep = P.fan()[c].vertex_id
+    size = data.draw(st.tuples(*[MAGNITUDES] * P.n))
+    signs = data.draw(st.tuples(*[st.sampled_from((1.0, -1.0))] * P.n))
+    for kind, point in (("tropical", tuple(map(mul, signs, size))),
+                        ("positive", size),
+                        ("log", tuple(map(mul, signs, size)))):
+        transport = WALK_TRANSPORTS[kind]
+        at_rep = tuple(x for _, x in sorted(zip(p, point)))
+        assert transport_outcome(transport, P, point, vid, other) \
+            == transport_outcome(transport, P, at_rep, rep, other), kind
+        to_rep = transport_outcome(transport, P, point, other, rep)
+        assert transport_outcome(transport, P, point, other, vid) == (
+            to_rep if to_rep is FloatRangeError
+            else tuple(map(to_rep.__getitem__, p))), kind
+
+
+def test_walk_calls_no_route_and_builds_no_vertex(monkeypatch):
+    def refused(*args):
+        raise AssertionError("walk read the labeled tree")
+
+    monkeypatch.setattr(ExchangePattern, "route", refused)
+    monkeypatch.setattr(ExchangePattern, "_build", refused)
+    P = pattern_from_type("D4")
+    x = (3, -5, 2, 7)
+    for vid in range(len(P)):
+        P.walk(x, vid, (7 * vid) % len(P), _steps.trop_mutation)
+        P.based_matrices(vid)
+    g0 = PositivePoint(5, (1.0, 2.0, 0.5, 3.0))
+    L = TropicalPoint(9, (2.0, -1.0, 3.0, -0.5))
+    inverse_quake(P, g0, quake(P, g0, L).g)
+    assert P.stats["vertex_cache"] == 0
+
+
 def test_based_matrices_walk_once_per_cluster(monkeypatch):
     walked = []
     real = ExchangePattern.walk
@@ -782,6 +891,24 @@ def test_vertex_ids_out_of_range_raise_precondition_error(reader, where):
     assert all(cone.opp_cone is None for cone in P.fan())
 
 
+DIRECTION_READERS = {
+    "ray": lambda P, k: P.ray(0, k),
+    "tropical_sign": lambda P, k: P.tropical_sign(0, k),
+    "limit_L": lambda P, k: limit_L(P, PositivePoint(0, (1.0, 1.0)), 0, k,
+                                    10.0),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(DIRECTION_READERS))
+@pytest.mark.parametrize("k", [-1, 2, 1.5])
+def test_directions_out_of_range_raise_precondition_error(reader, k):
+    # -1 used to read direction n-1, n raised a bare IndexError and 1.5 a
+    # bare TypeError
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"direction {k!r} not in range(2)")):
+        DIRECTION_READERS[reader](a2(), k)
+
+
 def test_numpy_integer_vertex_ids_are_read():
     # predict returns numpy integers, which name vertices as ints do; a
     # vertex first built from one still has an int id, which JSON takes
@@ -827,7 +954,7 @@ def test_stats():
     assert stats["f_clusters"] == 1
     # D4's 50 cones fill all 16 orthants; the fullest holds 15
     assert stats["orthants"] == 16 and stats["orthant_max"] == 15
-    # vertex 7 is not its cluster's first, which walks the route for it
+    # vertex 7 is not its cluster's first, which walks to the base for it
     # and keeps its matrices on the record; vertex 7's are not kept
     assert 7 not in {c.vertex_id for c in P.fan()}
     P.based_matrices(7)
@@ -950,13 +1077,13 @@ def test_identity_data_read_off_the_records_match_each_vertex(label):
 
 
 def test_matrices_suite_builds_no_vertex():
-    # every vertex's checks read its cluster's record; the only vertices
-    # built are those on the one route each cluster's based matrices walk,
-    # its first vertex's to the base, which holds first vertices only
+    # every vertex's checks read its cluster's record, and each cluster's
+    # based matrices walk the records' tree from its first vertex to the
+    # base
     P = pattern_from_type("D4")
     assert checks.matrices(P, random.Random(0))[0].ok
     assert P.stats["based_cache"] == 50
-    assert P.stats["vertex_cache"] <= 50
+    assert P.stats["vertex_cache"] == 0
 
 
 def assert_prefix_of_oracle(partial, oracle):

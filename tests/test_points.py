@@ -249,7 +249,7 @@ def test_transport_requires_matching_rank(A2):
 
 @pytest.mark.parametrize("bad", [-1, 10, 99])
 def test_chart_outside_the_pattern_is_a_precondition_error(A2, bad):
-    # route() checks both ends: a negative id would not stop at the base,
+    # walk() checks both ends: a negative id would not stop at the base,
     # and one past the end has no vertex
     assert len(A2) == 10
     g, L = PositivePoint(0, (1, 2)), TropicalPoint(0, (1, 2))
