@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from . import intmat
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     HomeomorphismError,
     PreconditionError,
 )
-from .patterns import ExchangePattern, enumerate_pattern
+from .patterns import ExchangePattern, _relabelers, enumerate_pattern
 from .points import (
     TOL,
     PositivePoint,
@@ -130,30 +131,88 @@ def _pos_step(X, eps, k):
         raise FloatRangeError("g or g0 is below the float range") from None
 
 
+def _cross(fan, c, q, logs):
+    """(position, pair): the cone that mutation q of fan[c] lands in, and
+    the log pair `logs` carried across that wall by a log-space mutation
+    and put into the landed cluster's canonical labeling; (None, None)
+    where the landing is not made or leaves a partial pattern."""
+    landing = fan[c].landings[q]
+    if landing is None or landing[0] >= len(fan):
+        return None, None
+    eps, put = fan[c].eps.entries, _relabelers(landing[1])[0]
+    return landing[0], tuple(put(_steps.log_mutation(u, eps, q))
+                             for u in logs)
+
+
+def _first_taker(fan, c, logs):
+    """The smallest fan position among the cones that take the log pair
+    within TOL and are reached from fan[c], which takes it, across walls
+    whose log ratio is within TOL of 0: the cones around the face the
+    point is on or near.  A point clear of every wall crosses none."""
+    first, seen, todo = c, {c}, [(c, logs)]
+    while todo:
+        c, logs = todo.pop()
+        for q, xq in enumerate(map(sub, *logs)):
+            if xq <= TOL:
+                e, landed = _cross(fan, c, q, logs)
+                if e is not None and e not in seen and \
+                        min(map(sub, *landed)) >= -TOL:
+                    seen.add(e)
+                    first = min(first, e)
+                    todo.append((e, landed))
+    return first
+
+
 def inverse_quake(P: ExchangePattern, g0: PositivePoint,
                   g: PositivePoint) -> TropicalPoint:
     """The tropical point L with quake(P, g0, L) = g (finite type only).
 
-    Charts are tried at the cone representatives only, in fan order: a
-    relabeled member's chart permutes the same coordinates.  g and g0
-    are moved to the base chart once; each cone's pair of coordinates is
-    then one mutation of its parent cone's pair, which was tried before.
+    The earthquake map is a homeomorphism, so one cone's chart has
+    log(X(g) / X(g0)) >= 0, and that vector is L in the chart.  g and g0
+    are moved to the base chart once, and their logs walk the Cone
+    records' landings from the base cone: at a cone where some log ratio
+    is below -TOL, both cross the wall of the most negative one (the
+    smallest direction on a tie) and are put into the landed cluster's
+    canonical labeling.  The walk takes at most len(fan) steps; one that
+    needs more, or whose landing leaves a partial pattern, raises
+    HomeomorphismError.  On or within TOL of a wall more than one cone
+    takes the point: the walk's cone and those across such walls that
+    take it too are compared, and the smallest fan position is kept, the
+    cone a scan in fan order stops at.  Only within a few TOL of L = 0
+    need the cones that take the point not meet at such walls; another
+    cone may then be kept, and L moves by a TOL-sized amount.
+
+    The pair is then carried to that cone again in positive arithmetic
+    along the fan tree from the base, so L is what transporting both
+    points to the cone gives, bit for bit from the base chart;
+    FloatRangeError is raised only where the walk to the base chart or
+    that tree path leaves the float range.
     """
     fan = P.fan()
-    # pairs[i] holds the pair in the chart of fan[i]
-    pairs = [tuple(P.walk(h.X, h.chart, P.base, _pos_step) for h in (g, g0))]
-    for i, cone in enumerate(fan):
-        if cone.parent is not None:
-            w, k = cone.parent
-            pairs.append(tuple(_pos_step(X, fan[w].eps.entries, k)
-                               for X in pairs[w]))
-        x = _log_ratios(*pairs[i])
-        if all(c >= -TOL for c in x):
-            return tropical_transport(TropicalPoint(cone.vertex_id, x), P,
-                                      P.base)
+    pair = tuple(P.walk(h.X, h.chart, P.base, _pos_step) for h in (g, g0))
+    logs = tuple(_logs(X, "g or g0") for X in pair)
+    if not all(map(math.isfinite, logs[0] + logs[1])):  # a coordinate at inf
+        raise FloatRangeError("g or g0 is beyond the float range")
+    c = 0
+    for _ in range(len(fan)):
+        x = tuple(map(sub, *logs))
+        low = min(x)
+        if low >= -TOL:
+            v = fan[_first_taker(fan, c, logs)].vertex_id
+            x = _log_ratios(*(P.walk(X, P.base, v, _pos_step) for X in pair))
+            return tropical_transport(TropicalPoint(v, x), P, P.base)
+        q = x.index(low)
+        e, logs = _cross(fan, c, q, logs)
+        if e is None:
+            raise HomeomorphismError(
+                f"the inverse earthquake walk leaves the pattern at cone "
+                f"{fan[c].vertex_id}, direction {q}; the fan is not "
+                "complete (a partial pattern?)")
+        c = e
     raise HomeomorphismError(
-        "no chart realizes the inverse earthquake image; the fan is "
-        "probably not complete (non-finite-type input?)")
+        f"the inverse earthquake walk stopped at cone {fan[c].vertex_id} "
+        f"after {len(fan)} steps without reaching the image's chart; the "
+        "fan is probably not complete (non-finite-type input?)")
 
 
 def u_coords(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clusterquake as cq
-from clusterquake import checks
+from clusterquake import _steps, checks
 from clusterquake import (
     FloatRangeError,
     HomeomorphismError,
@@ -348,8 +349,9 @@ def test_cluster_reduce_preconditions():
 
 
 def inverse_scan_oracle(P, g0, g):
-    """The scan inverse_quake replaced: g and g0 carried to every cone
-    representative by their own walks."""
+    """The fan-order scan that inverse_quake's walk over the landings
+    replaced: g and g0 carried to every cone representative by their own
+    walks, and the first cone whose log ratios are all >= -TOL gives L."""
     for cone in P.fan():
         v = cone.vertex_id
         gv, g0v = positive_transport(g, P, v), positive_transport(g0, P, v)
@@ -367,7 +369,7 @@ def inverse_cases(P, rng, count):
         yield g0, quake(P, g0, L).g
 
 
-@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+@pytest.mark.parametrize("label", ENUMERATE_TYPES + ["B5", "D5"])
 def test_inverse_tree_pass_is_bit_identical_from_the_base(label):
     # from the base chart both take the same mutations in the same order
     P = pattern(label)
@@ -396,14 +398,158 @@ def test_inverse_from_other_charts_stays_within_rounding(label):
 
 @pytest.mark.parametrize("label, g, why", [
     ("A2", (1.0, 1e-308), "beyond"),
-    ("G2", (1e-300, 1.0), "below"),
+    ("G2", (1e-300, 1e300), "below"),
     ("B3", (1e-300, 1.0, 1.0), "below"),
     ("F4", (1e-300, 1.0, 1.0, 1.0), "below"),
 ])
 def test_inverse_past_float_range_in_a_chart_is_a_typed_error(label, g, why):
-    # g is a float point, but one of the charts tried holds a coordinate
-    # that overflows or rounds to 0.0
+    # g is a float point, but a chart on the tree path to the image's
+    # cone holds a coordinate that overflows or rounds to 0.0
     P = pattern(label)
     with pytest.raises(FloatRangeError,
                        match=f"g or g0 is {why} the float range"):
         inverse_quake(P, ones(P), PositivePoint(0, g))
+
+
+@pytest.mark.parametrize("label, g", [
+    ("G2", (1e-300, 1.0)),
+    ("G2", (1e-300, 1e-300)),
+])
+def test_inverse_at_the_edge_of_the_float_range_round_trips(label, g):
+    # the fan-order scan passed charts beyond the float range on its way
+    # to these images' cones; the walk's tree path stays inside it
+    P = pattern(label)
+    L = inverse_quake(P, ones(P), PositivePoint(0, g))
+    log_g, _ = quake_log(P, (0.0,) * P.n, L)
+    assert max(abs(a - math.log(b)) for a, b in zip(log_g, g)) <= 1e-12
+
+
+def face_cases(P, rng, count):
+    """(g0, g) with g the image of a point on a face of a cone: an
+    integer combination of the cone's generators with a zero
+    coefficient, scaled by 10^[-3, 2].  Images beyond the float range
+    are left out."""
+    for _ in range(count):
+        cone = rng.choice(P.fan())
+        coef = [rng.randint(0, 3) for _ in range(P.n)]
+        coef[rng.randrange(P.n)] = 0
+        s = 10 ** rng.uniform(-3, 2)
+        L = TropicalPoint(0, tuple(
+            s * sum(map(operator.mul, coef, row))
+            for row in zip(*cone.generators)))
+        g0 = PositivePoint(0, tuple(math.exp(rng.uniform(-2, 2))
+                                    for _ in range(P.n)))
+        try:
+            g = quake(P, g0, L).g
+        except FloatRangeError:
+            continue
+        yield g0, g
+
+
+def assert_within_rounding(got, want, slack=0.0):
+    bound = 1e-14 * max(1.0, max(map(abs, want.x))) + slack
+    assert got.chart == want.chart
+    assert max(abs(a - b) for a, b in zip(got.x, want.x)) <= bound
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES)
+def test_inverse_on_faces_stays_within_rounding_of_the_scan(label):
+    # on a wall more than one cone takes the point: the walk keeps the
+    # smallest fan position among them, as the scan did
+    P = pattern(label)
+    rng = random.Random(label)
+    compared = 0
+    for g0, g in face_cases(P, rng, 60):
+        try:
+            want = inverse_scan_oracle(P, g0, g)
+        except FloatRangeError:
+            continue
+        assert_within_rounding(inverse_quake(P, g0, g), want)
+        compared += 1
+    assert compared >= 50
+
+
+@pytest.mark.parametrize("label, g0, g", [
+    # on the wall x_0 = 0 of the scan's cone, whose neighbour across it
+    # is reached by a tree path beyond the float range
+    ("B2", (1e108, 1e108), (1e108, 1e54)),
+    # 2e-10 from two walls: the cones across them take the point within
+    # TOL and give an L 4e-10 away from the scan's
+    ("B3", (1.0, 1e-10, 1.0), (1.0, 1e-20, 1.0)),
+])
+def test_inverse_near_a_wall_keeps_the_scans_cone(label, g0, g):
+    P = pattern(label)
+    g0, g = PositivePoint(0, g0), PositivePoint(0, g)
+    assert inverse_quake(P, g0, g) == inverse_scan_oracle(P, g0, g)
+
+
+EXTREME_TYPES = ["A2", "B2", "G2", "A3", "B3", "C3", "D4"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(EXTREME_TYPES), st.floats(0, 300),
+       st.lists(st.floats(-1, 1), min_size=8, max_size=8))
+def test_inverse_returns_wherever_the_scan_does(label, scale, exponents):
+    # coordinates 10^-scale to 10^scale, up to 10^+-300: wherever the
+    # scan reaches a chart that takes the image, the walk does as well,
+    # and on or near a wall it keeps the scan's cone
+    P = pattern(label)
+    g0, g = (PositivePoint(0, tuple(10.0 ** (scale * e) for e in part))
+             for part in (exponents[:P.n], exponents[4:4 + P.n]))
+    try:
+        want = inverse_scan_oracle(P, g0, g)
+    except (FloatRangeError, ValueError, cq.CoordinateError):
+        return  # a chart, or a ratio, of the scan leaves the float range
+    # within a few TOL of the origin nearly every cone takes the point,
+    # and the cones that do need not meet at walls the walk crosses:
+    # there the two answers may differ by TOL-sized amounts
+    near_origin = max(map(abs, want.x)) <= 10 * TOL
+    assert_within_rounding(inverse_quake(P, g0, g), want,
+                           10 * TOL if near_origin else 0.0)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_inverse_on_partial_patterns_is_the_scan_or_a_typed_error(label):
+    # a build stopped by its cap keeps the clusters reached so far; the
+    # walk returns the scan's L over that partial fan, or
+    # HomeomorphismError where it would leave it
+    full = pattern(label)
+    rng = random.Random(label)
+    cases = list(inverse_cases(full, rng, 20))
+    for cap in range(1, len(full)):
+        with pytest.raises(cq.PatternBudgetError) as err:
+            cq.pattern_from_type(label, cap=cap)
+        P = err.value.partial
+        for g0, g in cases:
+            try:
+                got = inverse_quake(P, g0, g)
+            except HomeomorphismError:
+                continue
+            assert got == inverse_scan_oracle(P, g0, g), (cap, g0, g)
+
+
+def test_inverse_walk_on_a_cycle_of_landings_stops_at_the_step_bound(
+        monkeypatch):
+    # the cones that share the base's canonical exchange matrix, their
+    # landings bent into a cycle with one relabeling: from g0 = 1 and
+    # g = (1, e^-2, 1, 1) the centre's log ratio keeps the minimum and
+    # grows without end, so only the step bound stops the walk
+    P = cq.pattern_from_type("D4")
+    fan = P.fan()
+    cycle = [c for c, cone in enumerate(fan)
+             if cone.eps.entries == fan[0].eps.entries]
+    assert len(cycle) > 1
+    for c, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+        fan[c].landings[:] = [(nxt, (2, 0, 3, 1))] * P.n
+    steps, log_mutation = [], _steps.log_mutation
+
+    def counted(u, eps, k):
+        steps.append(k)
+        return log_mutation(u, eps, k)
+
+    monkeypatch.setattr(_steps, "log_mutation", counted)
+    stop = fan[cycle[len(fan) % len(cycle)]].vertex_id
+    with pytest.raises(HomeomorphismError,
+                       match=f"stopped at cone {stop} after {len(fan)} "):
+        inverse_quake(P, ones(P), PositivePoint(0, (1, math.exp(-2), 1, 1)))
+    assert len(steps) == 2 * len(fan)
