@@ -77,19 +77,13 @@ def pos_mutation(X, eps, k):
     return tuple(out)
 
 
-def _softplus(t):
-    # log(1 + e^t) without overflow
-    if t > 0:
-        return t + math.log1p(math.exp(-t))
-    return math.log1p(math.exp(t))
-
-
 def log_mutation(u, eps, k):
     """pos_mutation conjugated by log: u = log X componentwise,
     u'_k = -u_k,  u'_i = u_i - eps_ik * softplus(-sgn(eps_ik) * u_k)."""
     out = list(u)
     uk = u[k]
-    # softplus(-u_k) and softplus(u_k), as _softplus takes them
+    # softplus(-u_k) and softplus(u_k), softplus(t) = log(1 + e^t) taken
+    # as max(t, 0) + log1p(e^-|t|) so that no exp overflows
     tail = math.log1p(math.exp(-abs(uk)))
     down = -uk + tail if uk < 0 else tail
     up = uk + tail if uk > 0 else tail

@@ -12,10 +12,9 @@ from typing import NamedTuple
 
 from . import earthquake as eq
 from . import intmat
-from .errors import BoundaryError, FloatRangeError
+from .errors import BoundaryError, FloatRangeError, PreconditionError
 from .horocycle import CentralCharge, conjugacy_residual, glue, \
     horocycle_flow
-from .patterns import _columns
 from .points import TOL, PositivePoint, TropicalPoint, candidate_cones, \
     in_closed_cone, locate_cone
 
@@ -37,49 +36,63 @@ class Check(NamedTuple):
     detail: str
 
 
+def _per_ray(pattern, f):
+    """{ray: f(v, k)} over the distinct rays of the fan, a ray being the
+    exact int tuple in cone.generators: f runs once per ray, at the first
+    cone v and direction k that list it."""
+    table = {}
+    for cone in pattern.fan():
+        for k, ray in enumerate(cone.generators):
+            if ray not in table:
+                table[ray] = f(cone.vertex_id, k)
+    return table
+
+
 def limit_L_rows(pattern, g0, t):
-    """One row per cone and ray: limit_L's estimate, target and error."""
+    """One row per cone and ray: limit_L's estimate, target and error.
+    The estimate depends on the ray alone, so limit_L runs once per ray;
+    the target is the cone's own, column k of its opposite_cone_matrix."""
+    est = _per_ray(pattern, lambda v, k: eq.limit_L(pattern, g0, v, k, t)[0])
     rows = []
     for cone in pattern.fan():
-        for k in range(pattern.n):
-            estimate, target = eq.limit_L(pattern, g0, cone.vertex_id, k, t)
-            err = max(abs(a - b) for a, b in zip(estimate, target))
+        targets = zip(*pattern.opposite_cone_matrix(cone.vertex_id))
+        for k, (ray, target) in enumerate(zip(cone.generators, targets)):
             rows.append({"v": cone.vertex_id, "k": k,
-                         "estimate": list(estimate),
-                         "target": list(target), "err": err})
+                         "estimate": list(est[ray]), "target": list(target),
+                         "err": max(abs(a - b)
+                                    for a, b in zip(est[ray], target))})
     return rows
 
 
-def _limit_g(pattern, M, vids):
-    """(vid, matrix, target, error) of limit_g at log-size M, for each of
-    the vertex ids vids."""
+def _shears(pattern, M):
+    """{ray: u_coords of the ray} at the base-chart point with every
+    coordinate exp(M), u_coords running once per ray.  PreconditionError
+    when M is not finite, FloatRangeError when exp(M) is beyond or below
+    the float range."""
+    if not math.isfinite(M):
+        raise PreconditionError(f"M must be finite, got {M}")
     try:
         g = PositivePoint(pattern.base, (math.exp(M),) * pattern.n)
-    except OverflowError:
-        raise FloatRangeError(f"exp(M) leaves the float range at M={M}") \
-            from None
-    for vid in vids:
-        u_matrix, target = eq.limit_g(pattern, g, vid)
-        yield vid, u_matrix, target, max(
-            abs(a - b) for ra, rb in zip(u_matrix, target)
-            for a, b in zip(ra, rb))
+    except (OverflowError, PreconditionError):  # exp(M) is inf or 0.0
+        raise FloatRangeError("exp(M) leaves the float range " + (
+            "below " if M < 0 else "") + f"at M={M}") from None
+    return _per_ray(pattern, lambda v, k: eq.u_coords(
+        pattern, g, TropicalPoint(pattern.base, pattern.ray(v, k))))
 
 
 def limit_g_rows(pattern, M):
     """One row per vertex, in id order: limit_g's matrix and target at
-    log-size M.  limit_g runs once per cone: a member labeled p has the
-    rays of its cone's first vertex, ray k being the cone's ray p[k], so
-    its matrix and target are the cone's with column k taken from column
-    p[k], bit for bit, and its error is the cone's."""
-    fan = pattern.fan()
-    rows = [None] * len(pattern)
-    for cone, (_, u_matrix, target, err) in zip(
-            fan, _limit_g(pattern, M, [cone.vertex_id for cone in fan])):
-        for p, vid in cone.ids.items():
-            rows[vid] = {"v": vid,
-                         "u_matrix": [list(r) for r in _columns(u_matrix, p)],
-                         "target": [list(r) for r in _columns(target, p)],
-                         "err": err}
+    log-size M.  Column k of the target is the vertex's ray k, and column
+    k of the matrix that ray's u-coordinates, read from the ray table."""
+    u = _shears(pattern, M)
+    gaps = {r: max(abs(a - b) for a, b in zip(c, r)) for r, c in u.items()}
+    rows = []
+    for vid in range(len(pattern)):
+        target = pattern.cone_matrix(vid)
+        rays = tuple(zip(*target))
+        rows.append({"v": vid, "target": [list(r) for r in target],
+                     "u_matrix": [list(r) for r in zip(*map(u.get, rays))],
+                     "err": max(map(gaps.get, rays))})
     return rows
 
 
@@ -164,12 +177,10 @@ def limits(pattern, rng):
     g0 = PositivePoint(pattern.base, (1,) * pattern.n)
     e10, e100, e1000 = (max(r["err"] for r in limit_L_rows(pattern, g0, t))
                         for t in (10.0, 100.0, 1000.0))
-    # a member's matrix and target are its cone's with the columns
-    # permuted, so the largest error over the cones is the largest over
-    # every vertex
-    reps = [cone.vertex_id for cone in pattern.fan()]
-    err30, err10 = (max(err for *_, err in _limit_g(pattern, M, reps))
-                    for M in (30.0, 10.0))
+    # every entry of limit_g is that of one ray, so the largest error
+    # over the rays is the largest over every vertex
+    err30, err10 = (max(abs(a - b) for r, u in _shears(pattern, M).items()
+                        for a, b in zip(u, r)) for M in (30.0, 10.0))
     return [
         Check("limits.L", e1000 <= LIMIT_L_TOL and e10 >= e100 >= e1000,
               f"errs {e10:.2e} >= {e100:.2e} >= {e1000:.2e} <= 1e-2"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import index, mul, sub
 
 from . import intmat
 from .errors import (
@@ -21,11 +21,13 @@ from .errors import (
     HomeomorphismError,
     PreconditionError,
 )
-from .patterns import ExchangePattern, _relabelers, enumerate_pattern
+from .patterns import ExchangePattern, _is_id, _relabelers, \
+    enumerate_pattern
 from .points import (
     TOL,
     PositivePoint,
     TropicalPoint,
+    _check_positive,
     _floats,
     _logs,
     locate_cone,
@@ -64,7 +66,11 @@ def quake_multiplier(P: ExchangePattern, g0: PositivePoint, vid: int,
     """
     P.check_rank(multipliers)
     gv = positive_transport(g0, P, vid)
-    rescaled = PositivePoint(vid, tuple(m * x for m, x in zip(multipliers, gv.X)))
+    try:
+        rescaled = PositivePoint(vid, tuple(map(mul, multipliers, gv.X)))
+    except TypeError:  # a multiplier that is not a real number
+        raise CoordinateError(
+            f"multipliers must be real numbers, got {multipliers}") from None
     return positive_transport(rescaled, P, g0.chart)
 
 
@@ -267,10 +273,9 @@ def limit_L(P: ExchangePattern, g0: PositivePoint, v: int, k: int, t: float):
     estimate = log X^(v0)(quake(g0, t * L^(v)_k)) / t, computed in log
     space; target = column k of C^{-s}_{v->v0} (equivalently of
     C^s_{v->v0} + eps^(v0) F^s_{v->v0}), which the estimate approaches
-    as t grows.
+    as t grows.  PreconditionError unless t is finite and positive.
     """
-    if not t > 0:
-        raise PreconditionError("t must be positive")
+    _check_positive(t, "t")
     ray = TropicalPoint(P.base, P.ray(v, k))
     log_g0 = log_transport(_logs(g0.X, "g0"), P, g0.chart, P.base)
     log_e, _ = quake_log(P, log_g0, scale(ray, t))
@@ -315,11 +320,12 @@ def cluster_reduce(P: ExchangePattern, v0: int, J, g0: PositivePoint,
     must lie in the star of the face (a cone reachable from v0 by
     J-mutations only).
     """
-    J = sorted(set(J))
+    J = set(J)
+    if not all(_is_id(j, P.n) for j in J):
+        raise PreconditionError("J contains out-of-range directions")
+    J = sorted(map(index, J))
     if not J:
         raise PreconditionError("J must be a non-empty set of directions")
-    if any(j < 0 or j >= P.n for j in J):
-        raise PreconditionError("J contains out-of-range directions")
 
     # P's exchange graph seen from v0 is the pattern re-based at v0, so
     # both points move to chart v0 and the star grows from there

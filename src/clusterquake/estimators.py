@@ -77,7 +77,7 @@ def _log_mutation(U, at, parts):
     column k of eps, each broadcast against U."""
     ep, em = parts
     uk = U[at]
-    # softplus(t) = max(t, 0) + tail, as _steps._softplus takes it, once
+    # softplus(t) = max(t, 0) + tail, as _steps.log_mutation takes it, once
     # per u_k for both signs; np.logaddexp(0, t) is several times slower
     tail = np.log1p(np.exp(-np.abs(uk)))
     out = U - ep * (np.maximum(-uk, 0) + tail) - em * (np.maximum(uk, 0)

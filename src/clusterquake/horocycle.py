@@ -27,7 +27,11 @@ class CentralCharge:
     z: tuple  # complex entries, Im >= 0, none equal to 0
 
     def __post_init__(self):
-        zs = tuple(complex(c) for c in self.z)
+        try:
+            zs = tuple(map(complex, self.z))
+        except (TypeError, ValueError):  # not a sequence, or not numbers
+            raise CoordinateError("central charge entries must be complex "
+                                  f"numbers, got {self.z}") from None
         object.__setattr__(self, "z", zs)
         for i, c in enumerate(zs):
             if not cmath.isfinite(c):
@@ -72,8 +76,12 @@ def horocycle_flow(Z: CentralCharge, t: float) -> CentralCharge:
     """z -> Re z + t Im z + i Im z.  A non-finite t raises
     PreconditionError, and a flow that leaves the float range
     FloatRangeError."""
-    if not math.isfinite(t):
-        raise PreconditionError(f"flow time must be finite, got {t}")
+    try:
+        finite = math.isfinite(t)
+    except TypeError:  # not a real number
+        finite = False
+    if not finite:
+        raise PreconditionError(f"flow time must be finite, got {t!r}")
     z = tuple(complex(c.real + t * c.imag, c.imag) for c in Z.z)
     if not all(map(cmath.isfinite, z)):
         raise FloatRangeError(f"the flow at t={t} leaves the float range")

@@ -23,12 +23,14 @@ from .patterns import ExchangePattern
 # Absolute tolerance of every cone-membership and wall test: a coordinate
 # >= -TOL counts as non-negative, one with |c| <= TOL as on the wall.
 TOL = 1e-9
+_EXACT = frozenset((int, Fraction))
 
 
 def _finite(v):
     # ints and Fractions are always finite; math.isfinite would overflow
-    # converting a huge one to float
-    return not isinstance(v, float) or math.isfinite(v)
+    # converting a huge one to float, and it raises TypeError on a value
+    # that is not a real number
+    return type(v) in _EXACT or math.isfinite(v)
 
 
 def _floats(values, name):
@@ -56,10 +58,14 @@ class TropicalPoint:
     x: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(self.x))
-        if not all(map(_finite, self.x)):
-            raise CoordinateError(
-                f"tropical coordinates must be finite, got {self.x}")
+        try:
+            object.__setattr__(self, "x", tuple(self.x))
+            if all(map(_finite, self.x)):
+                return
+        except TypeError:  # not a sequence, or an entry that is not real
+            pass
+        raise CoordinateError(
+            f"tropical coordinates must be finite reals, got {self.x}")
 
 
 @dataclass(frozen=True)
@@ -68,10 +74,14 @@ class PositivePoint:
     X: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "X", tuple(self.X))
-        if not all(v > 0 and _finite(v) for v in self.X):
-            raise CoordinateError("positive points need finite, strictly "
-                                  f"positive coordinates, got {self.X}")
+        try:
+            object.__setattr__(self, "X", tuple(self.X))
+            if all(v > 0 and _finite(v) for v in self.X):
+                return
+        except TypeError:  # not a sequence, or an entry that is not real
+            pass
+        raise CoordinateError("positive points need finite, strictly "
+                              f"positive coordinates, got {self.X}")
 
 
 class LocatedCone(NamedTuple):
@@ -112,10 +122,20 @@ def log_transport(logX, P: ExchangePattern, src: int, target: int):
     return P.walk(tuple(map(float, logX)), src, target, _steps.log_mutation)
 
 
+def _check_positive(t, name):
+    """PreconditionError naming t unless it is a finite real number > 0."""
+    try:
+        if 0 < t < math.inf:
+            return
+    except TypeError:  # not a real number
+        pass
+    raise PreconditionError(f"{name} must be finite and positive, got {t!r}")
+
+
 def scale(L: TropicalPoint, t) -> TropicalPoint:
-    """The R_{>0}-action on tropical points (commutes with transport)."""
-    if not t > 0:
-        raise PreconditionError("scaling factor must be positive")
+    """The R_{>0}-action on tropical points (commutes with transport);
+    PreconditionError unless t is finite and positive."""
+    _check_positive(t, "scaling factor")
     return TropicalPoint(L.chart, tuple(v * t for v in L.x))
 
 
@@ -132,7 +152,6 @@ def in_closed_cone(inequalities, x0):
 
 # TOL, rounded up far enough that reach * _TOL_UP >= reach * TOL exactly
 _TOL_UP = TOL * (1 + 2 ** -50)
-_EXACT = frozenset((int, Fraction))
 _REAL = _EXACT | {float}
 
 
@@ -211,7 +230,11 @@ def separation_eval(P: ExchangePattern, vid: int, X0):
     """X-coordinates at chart vid from base-chart values X0, through the
     separation formula X_i = prod_j X0_j^{c_ij} * F_j(X0)^{eps_ij}."""
     P.check_rank(X0)
-    if any(not x > 0 for x in X0):
+    try:
+        positive = all(x > 0 for x in X0)
+    except TypeError:  # an entry that is not real
+        positive = False
+    if not positive:
         raise CoordinateError("separation formula needs positive coordinates")
     v = P.vertex(vid)
     f_vals = [f.eval(X0) for f in v.Fs]

@@ -297,6 +297,8 @@ def build_cartan_seed(family: str, rank: int,
 
 def seed_from_type(label: str, orientation: str = "linear") -> ExchangeMatrix:
     """Parse labels like "A2", "B3", "G2", "A1xA1" into an exchange matrix."""
+    if not isinstance(label, str):
+        raise InvalidTypeError(f"a type label is a string, got {label!r}")
     token = label.strip()
     if token.upper() in ("A1XA1", "A1×A1"):
         return build_cartan_seed("A1xA1", 2, orientation)

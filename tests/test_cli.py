@@ -252,6 +252,9 @@ G0_BELOW_RANGE = "quake --type A2 --g0 1e-400,1 --L 1,1"
     "plot-grid --type A2 --range 0 inf",
     "plot-grid --type A2 --range 0 1 --step 1e-300",
     "limits --type A2 --mode g --M 1000",
+    "limits --type A2 --mode L --t inf",
+    "limits --type A2 --mode g --M=-800",
+    "limits --type A2 --mode g --M nan",
     "quake --type A2 --g0 1,1 --L=1e400,1",
     "dquake --type A2 --g0 1,1 --L=1e400,1",
     "inverse --type A2 --g0 1,1 --g 1e400,1",
@@ -273,6 +276,11 @@ def test_bad_input_is_a_usage_error(capsys, argv):
         # the fault is the starting point's, named after its flag, not
         # the image's or the g of the function --g0 is passed to
         assert "g0 is below the float range" in err
+    for flag in ("t", "M"):
+        if argv.startswith("limits") and re.search(rf"--{flag}\b", argv):
+            # the message names the argument at fault, not a point made
+            # from it
+            assert re.search(rf"\b{flag}\b", err.partition(":")[2]), err
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clusterquake as cq
-from clusterquake import _steps, checks
+from clusterquake import _steps, checks, earthquake as eq
 from clusterquake import (
     FloatRangeError,
     HomeomorphismError,
@@ -28,6 +28,7 @@ from clusterquake import (
     tropical_transport,
     u_coords,
 )
+from clusterquake.patterns import _columns
 from clusterquake.points import TOL
 
 ENUMERATE_TYPES = ["A1xA1", "A2", "B2", "G2", "A3", "B3", "C3",
@@ -252,34 +253,100 @@ def test_limit_g_converges():
     assert err(20.0) < 1e-6
 
 
-@pytest.mark.parametrize("label", ENUMERATE_TYPES)
-def test_limits_g_check_reads_one_cone_per_cluster(label):
-    # a member's matrix and target are its cone's with the columns
-    # permuted, so every member's row of limits --mode g has its cone's
-    # error, bit for bit, and the check's details are unchanged
-    P = pattern(label)
-    reps = [cone.vertex_id for cone in P.fan()]
-    errs = []
-    for M in (30.0, 10.0):
-        rows = checks.limit_g_rows(P, M)
-        own = {vid: err for vid, *_, err in checks._limit_g(P, M, reps)}
-        for cone in P.fan():
-            assert ({rows[vid]["err"] for vid in cone.members}
-                    == {own[cone.vertex_id]}), cone.vertex_id
-        errs.append(max(row["err"] for row in rows))
-    err30, err10 = errs
-    [_, check] = checks.limits(P, random.Random(0))
-    assert check == checks.Check(
-        "limits.g", err30 <= checks.LIMIT_G_TOL and err30 < err10,
-        f"err(M=30)={err30:.2e} < err(M=10)={err10:.2e}")
+def per_cone_limit_L_rows(P, g0, t):
+    """limit_L_rows computed per cone, the oracle of the ray table:
+    limit_L at every cone and ray."""
+    rows = []
+    for cone in P.fan():
+        for k in range(P.n):
+            estimate, target = limit_L(P, g0, cone.vertex_id, k, t)
+            rows.append({"v": cone.vertex_id, "k": k,
+                         "estimate": list(estimate), "target": list(target),
+                         "err": max(abs(a - b)
+                                    for a, b in zip(estimate, target))})
+    return rows
+
+
+def limit_g_row(vid, u_matrix, target):
+    return {"v": vid, "u_matrix": [list(r) for r in u_matrix],
+            "target": [list(r) for r in target],
+            "err": max(abs(a - b) for ra, rb in zip(u_matrix, target)
+                       for a, b in zip(ra, rb))}
+
+
+def exp_point(P, M):
+    return PositivePoint(P.base, (math.exp(M),) * P.n)
+
+
+def per_cone_limit_g_rows(P, M):
+    """limit_g_rows computed per cone, the oracle of the ray table:
+    limit_g at each cone's first vertex, and a member labeled p given its
+    cone's matrix and target with column k taken from column p[k]."""
+    rows = [None] * len(P)
+    for cone in P.fan():
+        u_matrix, target = limit_g(P, exp_point(P, M), cone.vertex_id)
+        for p, vid in cone.ids.items():
+            rows[vid] = limit_g_row(vid, _columns(u_matrix, p),
+                                    _columns(target, p))
+    return rows
 
 
 def per_vertex_limit_g_rows(P, M):
-    """limit_g_rows as it was, limit_g run afresh at every vertex."""
-    return [{"v": vid, "u_matrix": [list(r) for r in u_matrix],
-             "target": [list(r) for r in target], "err": err}
-            for vid, u_matrix, target, err
-            in checks._limit_g(P, M, range(len(P)))]
+    """limit_g_rows with limit_g run afresh at every vertex."""
+    return [limit_g_row(vid, *limit_g(P, exp_point(P, M), vid))
+            for vid in range(len(P))]
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES + ["B5", "D5"])
+def test_limit_rows_read_off_the_ray_table_equal_the_per_cone_rows(label):
+    # a limit depends on the ray alone, so reading it once per ray gives
+    # every cone's row, bit for bit
+    P = pattern(label)
+    for t in (10.0, 1000.0):
+        assert (checks.limit_L_rows(P, ones(P), t)
+                == per_cone_limit_L_rows(P, ones(P), t))
+    for M in (10.0, 30.0):
+        assert checks.limit_g_rows(P, M) == per_cone_limit_g_rows(P, M)
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES + ["B5"])
+def test_limits_g_check_reads_one_cone_per_cluster(label, monkeypatch):
+    # the limits suite runs limit_L once per distinct ray for each t and
+    # u_coords once per distinct ray for each M, as limit_g_rows does
+    # (B5: 30 rays against 1,260 cone-rays), and its checks are those of
+    # the per-cone rows
+    P = pattern(label)
+    rays = {ray for cone in P.fan() for ray in cone.generators}
+    calls = {"limit_L": [], "u_coords": []}
+    for name in calls:
+        def spy(*args, _name=name, _f=getattr(eq, name)):
+            calls[_name].append(args)
+            return _f(*args)
+        monkeypatch.setattr(eq, name, spy)
+    checks.limit_g_rows(P, 30.0)
+    assert len(calls["u_coords"]) == len(rays)
+    calls["u_coords"].clear()
+    got = checks.limits(P, random.Random(0))
+    monkeypatch.undo()
+    for t in (10.0, 100.0, 1000.0):
+        assert sorted(P.ray(v, k) for _, _, v, k, t_ in calls["limit_L"]
+                      if t_ == t) == sorted(rays)
+    for M in (30.0, 10.0):
+        assert sorted(L.x for _, g, L in calls["u_coords"]
+                      if g.X[0] == math.exp(M)) == sorted(rays)
+    assert len(calls["limit_L"]) == 3 * len(rays)
+    assert len(calls["u_coords"]) == 2 * len(rays)
+    e10, e100, e1000 = (max(r["err"] for r in per_cone_limit_L_rows(
+        P, ones(P), t)) for t in (10.0, 100.0, 1000.0))
+    err30, err10 = (max(r["err"] for r in per_cone_limit_g_rows(P, M))
+                    for M in (30.0, 10.0))
+    assert got == [
+        checks.Check("limits.L", e1000 <= checks.LIMIT_L_TOL
+                     and e10 >= e100 >= e1000,
+                     f"errs {e10:.2e} >= {e100:.2e} >= {e1000:.2e} <= 1e-2"),
+        checks.Check("limits.g", err30 <= checks.LIMIT_G_TOL
+                     and err30 < err10,
+                     f"err(M=30)={err30:.2e} < err(M=10)={err10:.2e}")]
 
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES)

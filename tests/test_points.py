@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,6 +55,77 @@ def test_point_validation():
         PositivePoint(0, (float("inf"), 1.0))
     with pytest.raises(ValueError):
         PositivePoint(0, (1.0, float("nan")))
+
+
+INF = float("inf")
+
+
+NON_REAL = {
+    "TropicalPoint-str": (lambda P: TropicalPoint(0, ("a", 1)),
+                          cq.CoordinateError, "finite"),
+    "TropicalPoint-complex": (lambda P: TropicalPoint(0, (1j, 1)),
+                              cq.CoordinateError, "finite"),
+    "TropicalPoint-None": (lambda P: TropicalPoint(0, None),
+                           cq.CoordinateError, "finite"),
+    "PositivePoint-str": (lambda P: PositivePoint(0, ("a", 1)),
+                          cq.CoordinateError, "positive"),
+    "PositivePoint-complex": (lambda P: PositivePoint(0, (1j, 1)),
+                              cq.CoordinateError, "positive"),
+    "PositivePoint-list": (lambda P: PositivePoint(0, ([1], 1)),
+                           cq.CoordinateError, "positive"),
+    "PositivePoint-None": (lambda P: PositivePoint(0, None),
+                           cq.CoordinateError, "positive"),
+    "CentralCharge-str": (lambda P: cq.CentralCharge(0, ("a", 1j)),
+                          cq.CoordinateError, "central charge"),
+    "CentralCharge-None": (lambda P: cq.CentralCharge(0, None),
+                           cq.CoordinateError, "central charge"),
+    "quake_multiplier-str": (
+        lambda P: cq.quake_multiplier(P, PositivePoint(0, (1.0, 2.0)), 0,
+                                      ("a", 1)),
+        cq.CoordinateError, "multipliers"),
+    "separation_eval-str": (lambda P: separation_eval(P, 0, ("a", 1)),
+                            cq.CoordinateError, "positive"),
+    "limit_L-str": (
+        lambda P: cq.limit_L(P, PositivePoint(0, (1, 1)), 0, 0, "a"),
+        PreconditionError, "t must"),
+    "limit_L-inf": (
+        lambda P: cq.limit_L(P, PositivePoint(0, (1, 1)), 0, 0, INF),
+        PreconditionError, "t must"),
+    "scale-str": (lambda P: scale(TropicalPoint(0, (1, 2)), "a"),
+                  PreconditionError, "scaling factor"),
+    "scale-inf": (lambda P: scale(TropicalPoint(0, (1, 2)), INF),
+                  PreconditionError, "scaling factor"),
+    "horocycle_flow-str": (
+        lambda P: cq.horocycle_flow(cq.CentralCharge(0, (1j, 1j)), "a"),
+        PreconditionError, "flow time"),
+    "cluster_reduce-str": (
+        lambda P: cq.cluster_reduce(P, 0, ["a"], PositivePoint(0, (1, 1)),
+                                    TropicalPoint(0, (1, 1))),
+        PreconditionError, "J contains"),
+    "pattern_from_type-None": (lambda P: cq.pattern_from_type(None),
+                               cq.InvalidTypeError, "string"),
+    "pattern_from_type-int": (lambda P: cq.pattern_from_type(5),
+                              cq.InvalidTypeError, "string"),
+}
+
+
+@pytest.mark.parametrize("case", NON_REAL)
+def test_input_that_is_no_real_number_raises_a_typed_error(A2, case):
+    # a bare TypeError, ValueError or AttributeError came from inside, or
+    # (TropicalPoint) none at all; an infinite t is refused by name
+    call, error, named = NON_REAL[case]
+    with pytest.raises(error, match=named):
+        call(A2)
+
+
+@pytest.mark.parametrize("value", [
+    3, True, Fraction(1, 3), 0.5, np.int64(3), np.float64(0.5),
+    np.float32(0.5), np.bool_(True)], ids=repr)
+def test_real_numbers_of_every_kind_are_coordinates(A2, value):
+    L = TropicalPoint(0, (value, 1))
+    g = PositivePoint(0, (value, 1))
+    assert cq.quake(A2, g, L).g.chart == 0
+    assert scale(L, value).x == (value * value, value)
 
 
 def test_scale():
