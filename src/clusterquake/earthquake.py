@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import index, mul, sub
+from operator import add, index, mul, sub
 
 from . import intmat
 from .errors import (
@@ -98,12 +98,12 @@ def quake_log(P: ExchangePattern, log_g0, L: TropicalPoint):
 
     log_g0 are base-chart log-coordinates of the starting point; returns
     (log-coordinates of the image in the base chart, cone vertex).
-    Raises FloatRangeError when a log-coordinate of the image leaves the
-    float range.
+    Raises FloatRangeError when L, or a log-coordinate of the image,
+    leaves the float range.
     """
     v, _, xv = locate_cone(L, P)
     log_gv = log_transport(log_g0, P, P.base, v)
-    log_ev = tuple(float(a) + b for a, b in zip(xv, log_gv))
+    log_ev = tuple(map(add, _floats(xv, "L"), log_gv))
     log_g = log_transport(log_ev, P, v, P.base)
     if not all(map(math.isfinite, log_g)):
         raise FloatRangeError(
@@ -252,6 +252,7 @@ def dquake(P: ExchangePattern, g: PositivePoint, L: TropicalPoint,
     kept as an independent oracle.
     """
     if method == "finite_difference":
+        _floats(L.x, "L")  # FloatRangeError before scale() blames h
         h = FD_STEP
         d1 = [c / h for c in u_coords(P, g, scale(L, h), g.chart)]
         d2 = [c / (h / 2) for c in u_coords(P, g, scale(L, h / 2), g.chart)]
@@ -273,12 +274,20 @@ def limit_L(P: ExchangePattern, g0: PositivePoint, v: int, k: int, t: float):
     estimate = log X^(v0)(quake(g0, t * L^(v)_k)) / t, computed in log
     space; target = column k of C^{-s}_{v->v0} (equivalently of
     C^s_{v->v0} + eps^(v0) F^s_{v->v0}), which the estimate approaches
-    as t grows.  PreconditionError unless t is finite and positive.
+    as t grows.  PreconditionError unless t is finite and positive, and
+    FloatRangeError naming t and the ray when t, or the image along t
+    times the ray, is beyond the float range.
     """
     _check_positive(t, "t")
+    _floats((t,), "t")
     ray = TropicalPoint(P.base, P.ray(v, k))
     log_g0 = log_transport(_logs(g0.X, "g0"), P, g0.chart, P.base)
-    log_e, _ = quake_log(P, log_g0, scale(ray, t))
+    try:
+        log_e, _ = quake_log(P, log_g0, scale(ray, t))
+    except FloatRangeError:
+        raise FloatRangeError(
+            f"the earthquake image along t={t!r} times ray {k} of cone {v}, "
+            f"{list(ray.x)}, leaves the float range") from None
     estimate = tuple(c / t for c in log_e)
     target = intmat.column(P.opposite_cone_matrix(v), k)
     return estimate, target

@@ -27,11 +27,16 @@ class CentralCharge:
     z: tuple  # complex entries, Im >= 0, none equal to 0
 
     def __post_init__(self):
+        zs = []  # the entries converted so far, when one raises
         try:
-            zs = tuple(map(complex, self.z))
+            zs.extend(map(complex, self.z))
         except (TypeError, ValueError):  # not a sequence, or not numbers
             raise CoordinateError("central charge entries must be complex "
                                   f"numbers, got {self.z}") from None
+        except OverflowError:  # an int or Fraction beyond the float range
+            raise FloatRangeError(f"entry {len(zs)} of a central charge is "
+                                  "beyond the float range") from None
+        zs = tuple(zs)
         object.__setattr__(self, "z", zs)
         for i, c in enumerate(zs):
             if not cmath.isfinite(c):
@@ -74,12 +79,15 @@ def glue(Z: CentralCharge, P: ExchangePattern, k: int) -> CentralCharge:
 
 def horocycle_flow(Z: CentralCharge, t: float) -> CentralCharge:
     """z -> Re z + t Im z + i Im z.  A non-finite t raises
-    PreconditionError, and a flow that leaves the float range
-    FloatRangeError."""
+    PreconditionError, and a t beyond the float range, or a flow that
+    leaves it, FloatRangeError."""
     try:
         finite = math.isfinite(t)
     except TypeError:  # not a real number
         finite = False
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise FloatRangeError(
+            "flow time t is beyond the float range") from None
     if not finite:
         raise PreconditionError(f"flow time must be finite, got {t!r}")
     z = tuple(complex(c.real + t * c.imag, c.imag) for c in Z.z)

@@ -265,18 +265,18 @@ class BasedMatrices(NamedTuple):
 class ExchangePattern:
     """Immutable labeled exchange graph rooted at vertex 0.
 
-    Vertex vid is the labeled seed labels[vid] = (cluster id, p), first
-    reached by the BFS tree edge parents[vid] = (parent id, edge): row i
+    Vertex vid is the labeled seed labels[vid] = (cluster id, p): row i
     of each of its matrices is row p[i] of the canonical seed held by
     the Cone record cones[cluster id], and its cone generator i is the
     cone's generator p[i]; that record maps p back to vid.  The
     PatternVertex is built from there the first time it is read and kept
     in its slot.  No edge is stored: neighbor() reads an edge's far end
-    off the records' landings.  The pattern owns the lists it is given."""
+    off the records' landings.  Nor is the labeled BFS tree: route()
+    replays it from the landings on first read (_parents).  The pattern
+    owns the lists it is given."""
 
-    def __init__(self, labels, parents, type_tag, cap, cones, bfs_s=None):
+    def __init__(self, labels, type_tag, cap, cones, bfs_s=None):
         self._labels = labels
-        self._parents = parents
         self._cones = cones
         self._slots = [None] * len(labels)
         self.eps0 = cones[0].eps
@@ -383,10 +383,27 @@ class ExchangePattern:
         """Vertex ids on the tree path from the base to vid, both included."""
         return tuple(at for at, _ in self.route(self.base, vid)) + (vid,)
 
+    @cached_property
+    def _parents(self):
+        """[(BFS parent id, edge), ...] by vertex id, None at the base: the
+        tree enumerate_pattern's search found, replayed on first read and
+        kept.  The search pops the vertices in id order and adds each new
+        far end of the popped vertex's edges, so a vertex's parent is the
+        first vertex in id order with an edge to it.  The edges of one
+        vertex reach distinct vertices, so their order does not matter."""
+        parents = [None] * len(self)
+        for vid in range(len(self)):
+            for edge in self._edge_labels:
+                wid = self._far_end(vid, edge)
+                if wid and parents[wid] is None:
+                    parents[wid] = vid, edge
+        return parents
+
     def route(self, src, dst):
         """Steps [(ambient vid, edge), ...] leading from chart src to dst.
 
-        Read off the BFS tree: a parent's id is smaller than its child's,
+        Read off the BFS tree, which no build stores: the first route
+        replays it (_parents).  A parent's id is smaller than its child's,
         so the larger end steps to its parent until the two ends meet.  An
         edge going up is walked back as it is, since every edge is its own
         inverse (mutations, and relabelings by transpositions).
@@ -594,8 +611,10 @@ class ExchangePattern:
         vertex, the identity, and no vertex is built.  The cones form a
         tree: a cluster is made by a mutation of its parent cluster's
         first vertex, which the BFS pops before any other member, and its
-        own first vertex is reached by that edge.  So one pass in fan
-        order can carry a point from each cone's parent, at
+        own first vertex is reached by that edge; each record is checked
+        to be so, its parent at an earlier position whose landing in the
+        record's direction is the record's identity label.  So one pass
+        in fan order can carry a point from each cone's parent, at
         fan()[cone.parent[0]], to the cone by one mutation."""
         if self._fan is None:
             start = time.process_time()
@@ -607,13 +626,13 @@ class ExchangePattern:
                     raise InternalConsistencyError(
                         f"cone {rep} is labeled {self._labels[rep]}, not as "
                         f"the canonical seed of cluster {c}")
-                # the first vertex of fan[up], an earlier cone, is checked
-                up, k = cone.parent or (0, None)
-                if c and not (up < c and self._parents[rep]
-                              == (fan[up].vertex_id, ("mu", k))):
+                # mutation k of fan[up], an earlier cone, lands on the
+                # cone's first vertex
+                up, k = cone.parent or (c, None)
+                if c and not (up < c and fan[up].landings[k] == (c, ident)):
                     raise InternalConsistencyError(
-                        f"cone {rep} is reached by {self._parents[rep]}, not "
-                        "by a mutation from an earlier cone")
+                        f"cone {rep} has parent {cone.parent}, which is not "
+                        "a mutation from an earlier cone landing on it")
             self._fan = fan
             self._fan_s = time.process_time() - start
         return self._fan
@@ -796,7 +815,9 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     vertex and ids key that carries it shares.  A new cluster is only
     ever made at the first vertex of its parent cluster, which carries
     the identity label, so the new cluster's first vertex is labeled by
-    the identity as well.
+    the identity as well.  The search tree is not stored: the records'
+    parents and landings hold it at cluster level, and route() replays
+    the labeled tree from them when it is first read.
 
     Raises NotFiniteTypeError at the first exchange matrix that shows the
     class is not of finite type, and PatternBudgetError when the vertex
@@ -813,18 +834,15 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     cones = []  # cluster id -> Cone
     cluster_of = {}  # frozenset of c-vectors -> cluster id
     labels = []  # vid -> (cluster id, p)
-    parents = []  # vid -> (BFS parent id, edge); None at the base
     shared = {}.setdefault  # one tuple per distinct label
-    # one tuple per edge label, shared by every tree edge that takes it;
     # row i of a seed relabeled by a transposition is row images^-1(i) =
     # images(i) (a transposition is its own inverse): it is labeled
     # p o images
-    mu_steps = [(k, ("mu", k)) for k in range(n)]
-    perm_steps = [(_composer(s.images), ("perm", s.images))
+    perm_steps = [_composer(s.images)
                   for s in eps0.admissible_transpositions()]
 
     def pattern_so_far():
-        return ExchangePattern(labels, parents, type_tag, cap, cones,
+        return ExchangePattern(labels, type_tag, cap, cones,
                                bfs_s=time.process_time() - start)
 
     def new_cone(cone):
@@ -864,7 +882,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         src.landings[q] = target, tau
         cones[target].landings[tau[q]] = c, tuple(map(tau.index, ident))
 
-    def add(c, p, parent):
+    def add(c, p):
         vid = len(labels)
         if vid >= cap:
             raise PatternBudgetError(
@@ -873,13 +891,12 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                 "if it is)", partial=pattern_so_far())
         p = shared(p, p)
         labels.append((c, p))
-        parents.append(parent)
         cones[c].ids[p] = vid
 
     ident_m = intmat.identity(n)
     new_cone(Cone(eps0, ident_m, ident_m, ident_m, ident_m, None, [None] * n,
                   tuple(FPolynomial.constant(n) for _ in range(n))))
-    add(0, ident, None)
+    add(0, ident)
     # labels is the queue: vertices are popped in id order, as added
     for vid, (c, p) in enumerate(labels):
         if p == ident:
@@ -902,15 +919,15 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         # the far ends' labels, as ExchangePattern._far_end makes them; one
         # already in its cone's ids is an edge already found
         landings, ids, at = cones[c].landings, cones[c].ids, _composer(p)
-        for k, step in mu_steps:
-            target, tau = landings[p[k]]
+        for j in p:  # its mutation k is mutation p[k] of cluster c
+            target, tau = landings[j]
             q = at(tau)
             if q not in cones[target].ids:
-                add(target, q, (vid, step))
-        for get, step in perm_steps:
+                add(target, q)
+        for get in perm_steps:
             q = get(p)
             if q not in ids:
-                add(c, q, (vid, step))
+                add(c, q)
     return pattern_so_far()
 
 

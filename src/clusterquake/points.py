@@ -118,8 +118,9 @@ def positive_transport(g: PositivePoint, P: ExchangePattern,
 
 
 def log_transport(logX, P: ExchangePattern, src: int, target: int):
-    """positive_transport conjugated by log, overflow-safe (floats)."""
-    return P.walk(tuple(map(float, logX)), src, target, _steps.log_mutation)
+    """positive_transport conjugated by log, overflow-safe (floats);
+    FloatRangeError naming logX when an entry is beyond the float range."""
+    return P.walk(_floats(logX, "logX"), src, target, _steps.log_mutation)
 
 
 def _check_positive(t, name):
@@ -134,9 +135,17 @@ def _check_positive(t, name):
 
 def scale(L: TropicalPoint, t) -> TropicalPoint:
     """The R_{>0}-action on tropical points (commutes with transport);
-    PreconditionError unless t is finite and positive."""
+    PreconditionError unless t is finite and positive, and
+    FloatRangeError when t takes a float coordinate beyond the float
+    range (an int or Fraction one stays exact)."""
     _check_positive(t, "scaling factor")
-    return TropicalPoint(L.chart, tuple(v * t for v in L.x))
+    try:
+        return TropicalPoint(L.chart, tuple(v * t for v in L.x))
+    except (CoordinateError, OverflowError):
+        # a float product at inf, or a float times an int or Fraction
+        # beyond the float range
+        raise FloatRangeError(f"the scaling factor takes {list(L.x)} "
+                              "beyond the float range") from None
 
 
 def in_closed_cone(inequalities, x0):

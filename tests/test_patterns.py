@@ -234,7 +234,9 @@ def pattern_of(vertices, paths, mut_edges, perm_edges, type_tag):
         assert labels[wid] == (c, tuple(p[i] for i in images)), (vid, images)
     for vid, (c, p) in enumerate(labels):
         records[c].ids[p] = vid
-    P = ExchangePattern(labels, parents, type_tag, None, records)
+    P = ExchangePattern(labels, type_tag, None, records)
+    # the oracle's own tree, in place of the one route() would replay
+    P.__dict__["_parents"] = parents
     P._slots[:] = vertices
     for cone in records:
         cone.generators = intmat.transpose(
@@ -1151,6 +1153,21 @@ def test_vertices_read_like_a_tuple(label):
         P.vertices[len(P)]
 
 
+def test_only_route_replays_the_bfs_tree():
+    # the build stores no BFS tree, and no reader but route() replays it
+    P = pattern_from_type("B3")
+    P.fan()
+    assert P.stats["vertices"] == len(P.to_json_obj()["vertices"]) == 40
+    g0 = PositivePoint(0, (1.0, 2.0, 0.5))
+    L = TropicalPoint(0, (1.0, -2.0, 0.5))
+    locate_cone(L, P)
+    g = quake(P, g0, L).g
+    inverse_quake(P, g0, g)
+    P.walk(L.x, 7, len(P) - 1, _steps.trop_mutation)
+    assert "_parents" not in vars(P)
+    assert P.route(P.base, 7) and "_parents" in vars(P)
+
+
 def test_vertices_are_built_on_first_read():
     P = pattern_from_type("D4")
     assert P._slots.count(None) == len(P)  # stats would build the fan
@@ -1285,28 +1302,25 @@ def test_broken_cone_parent_fails_the_tree_property():
 
 
 def test_fan_rejects_a_cone_reached_from_no_earlier_cone():
-    # the BFS parent of a representative moved to a relabeled member of
-    # its parent's cluster, or reached by a relabel edge
+    # the landing of the parent's mutation moved to another cluster, or
+    # to a relabeled member of the cone: either way the tree edge of the
+    # records does not reach the cone's first vertex
     P = pattern_from_type("B3")
-    rep = P.fan()[5]
-    up, k = rep.parent
-    w, member = P.fan()[up].members[:2]
-    for parent in ((member, ("mu", k)), (w, ("perm", (1, 0, 2)))):
+    cone = P.fan()[5]
+    up, k = cone.parent
+    for landing in ((6, tuple(range(P.n))), P._labels[cone.members[1]]):
         Q = pattern_from_type("B3")
-        Q._parents[rep.vertex_id] = parent
+        Q._cones[up].landings[k] = landing
         with pytest.raises(InternalConsistencyError, match="earlier cone"):
             Q.fan()
 
 
 def test_fan_rejects_a_parent_that_is_not_an_earlier_cone():
-    # cone 5 claims itself, or the next cone, as its parent, and its
-    # first vertex's BFS parent agrees: only the positions are wrong
+    # cone 5 claims itself, or the next cone, as its parent
     for up in (5, 6):
         P = pattern_from_type("B3")
         cone = P._cones[5]
-        k = cone.parent[1]
-        cone.parent = (up, k)
-        P._parents[cone.vertex_id] = (P._cones[up].vertex_id, ("mu", k))
+        cone.parent = (up, cone.parent[1])
         with pytest.raises(InternalConsistencyError, match="earlier cone"):
             P.fan()
 
@@ -1343,8 +1357,10 @@ def test_every_partial_fan_is_a_tree_of_cones_with_members(label):
         assert all(cone.members for cone in fan), cap
         assert all(cone.vertex_id == min(cone.members) for cone in fan), cap
         assert fan_tree_holds(partial), cap
-        assert_record_graph(
-            partial, labeled_bfs_oracle(seed_from_type(label), label, cap))
+        oracle = labeled_bfs_oracle(seed_from_type(label), label, cap)
+        assert_record_graph(partial, oracle)
+        # the tree route() replays is the oracle's search tree
+        assert route_edges(partial) == oracle.paths[:len(partial)], cap
 
 
 @pytest.mark.parametrize("label", ENUMERATE_TYPES + ["A5", "D5", "B5"])

@@ -118,6 +118,40 @@ def test_input_that_is_no_real_number_raises_a_typed_error(A2, case):
         call(A2)
 
 
+HUGE = 10 ** 400  # an int that float() cannot hold
+G0 = PositivePoint(0, (1.0, 1.0))
+BEYOND_FLOATS = {
+    "horocycle_flow": (
+        lambda P: cq.horocycle_flow(cq.CentralCharge(0, (1j, 1j)), HUGE),
+        "flow time t"),
+    "scale": (lambda P: scale(TropicalPoint(0, (1.0, 2.0)), HUGE),
+              "scaling factor"),
+    "scale-float": (lambda P: scale(TropicalPoint(0, (1e300, 1.0)), 1e300),
+                    "scaling factor"),
+    "limit_L": (lambda P: cq.limit_L(P, PositivePoint(0, (1, 1)), 0, 0,
+                                     HUGE), "t is"),
+    "CentralCharge": (lambda P: cq.CentralCharge(0, (1j, HUGE)), "entry 1"),
+    "quake_log": (lambda P: cq.quake_log(P, (0.0, 0.0),
+                                         TropicalPoint(0, (HUGE, 1))), "L"),
+    "u_coords": (lambda P: cq.u_coords(P, G0, TropicalPoint(0, (HUGE, 1))),
+                 "L"),
+    "dquake-finite_difference": (
+        lambda P: cq.dquake(P, G0, TropicalPoint(0, (HUGE, 1)),
+                            method="finite_difference"), "L"),
+    "log_transport": (lambda P: log_transport((HUGE, 0), P, 0, 3), "logX"),
+}
+
+
+@pytest.mark.parametrize("case", BEYOND_FLOATS)
+def test_an_int_beyond_the_float_range_raises_float_range_error(A2, case):
+    # each raised a bare OverflowError from an int-to-float conversion
+    # (the float scaling factor a CoordinateError at inf); the message
+    # names the argument at fault
+    call, named = BEYOND_FLOATS[case]
+    with pytest.raises(FloatRangeError, match=rf"\b{named}\b"):
+        call(A2)
+
+
 @pytest.mark.parametrize("value", [
     3, True, Fraction(1, 3), 0.5, np.int64(3), np.float64(0.5),
     np.float32(0.5), np.bool_(True)], ids=repr)
