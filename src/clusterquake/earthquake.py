@@ -62,7 +62,9 @@ def quake_multiplier(P: ExchangePattern, g0: PositivePoint, vid: int,
 
     This is the arithmetic core of quake: exact when g0 and the
     multipliers are rational, which the identity tests rely on.
-    PreconditionError unless there is one multiplier per direction.
+    PreconditionError unless there is one multiplier per direction, and
+    FloatRangeError naming the multipliers when one is an int or Fraction
+    whose product with a float coordinate is beyond the float range.
     """
     P.check_rank(multipliers)
     gv = positive_transport(g0, P, vid)
@@ -71,6 +73,10 @@ def quake_multiplier(P: ExchangePattern, g0: PositivePoint, vid: int,
     except TypeError:  # a multiplier that is not a real number
         raise CoordinateError(
             f"multipliers must be real numbers, got {multipliers}") from None
+    except OverflowError:  # an int or Fraction times a float coordinate
+        raise FloatRangeError(
+            f"the multipliers take the chart-{vid} coordinates of g0 "
+            "beyond the float range") from None
     return positive_transport(rescaled, P, g0.chart)
 
 
@@ -98,9 +104,10 @@ def quake_log(P: ExchangePattern, log_g0, L: TropicalPoint):
 
     log_g0 are base-chart log-coordinates of the starting point; returns
     (log-coordinates of the image in the base chart, cone vertex).
-    Raises FloatRangeError when L, or a log-coordinate of the image,
-    leaves the float range.
+    Raises FloatRangeError when log_g0, L, or a log-coordinate of the
+    image, leaves the float range.
     """
+    log_g0 = _floats(log_g0, "log_g0")
     v, _, xv = locate_cone(L, P)
     log_gv = log_transport(log_g0, P, P.base, v)
     log_ev = tuple(map(add, _floats(xv, "L"), log_gv))

@@ -13,7 +13,8 @@ import json
 from heapq import heapify, heappop, heappush
 from operator import add
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, PreconditionError
+from .seeds import _is_id
 
 
 def _grlex_key(exp):
@@ -221,11 +222,13 @@ def mutate_F(fs, c_matrix, eps, k):
         F_k' * F_k = prod_j y_j^[c_kj]+ * prod_l F_l^[eps_kl]+
                    + prod_j y_j^[-c_kj]+ * prod_l F_l^[-eps_kl]+
 
-    The division is required to be exact.
+    The division is required to be exact.  PreconditionError when k is
+    not an integer in range(n).
     """
     n = len(fs)
-    if not 0 <= k < n:
-        raise IndexError(f"direction {k} out of range for rank {n}")
+    if not _is_id(k, n):
+        raise PreconditionError(
+            f"direction {k!r} is not an integer in range({n})")
     c_row = c_matrix[k]
     e_row = eps.entries[k]
     pos = FPolynomial.monomial(n, tuple(max(0, x) for x in c_row))

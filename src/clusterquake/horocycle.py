@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .errors import BoundaryError, CoordinateError, FloatRangeError, \
     GluingDomainError, PreconditionError
 from .patterns import ExchangePattern
-from .points import TOL, PositivePoint, TropicalPoint, _floats, _logs, \
-    locate_cone, positive_transport, scale
+from .points import TOL, PositivePoint, TropicalPoint, _check_positive, \
+    _floats, _logs, locate_cone, positive_transport, scale
 from .earthquake import quake
 
 
@@ -120,8 +120,18 @@ def conjugacy_residual(P: ExchangePattern, g: PositivePoint,
                        L: TropicalPoint, t: float) -> float:
     """max_i |lift(quake(g, tL), L)_i - horocycle_flow(lift(g, L), t)_i|.
 
-    Both lifts share the chart and imaginary parts of Z = lift(g, L)."""
+    Both lifts share the chart and imaginary parts of Z = lift(g, L).
+    PreconditionError unless t is finite and positive, and
+    FloatRangeError naming t and L when t, or the earthquake image along
+    t times L, is beyond the float range."""
     Z = lift(P, g, L)
-    moved = positive_transport(quake(P, g, scale(L, t)).g, P, Z.chart)
+    _check_positive(t, "t")
+    _floats((t,), "t")
+    try:
+        moved = positive_transport(quake(P, g, scale(L, t)).g, P, Z.chart)
+    except FloatRangeError:
+        raise FloatRangeError(
+            f"the earthquake image along t={t!r} times L, {list(L.x)}, "
+            "leaves the float range") from None
     return max(abs(complex(math.log(float(a)), z.imag) - w)
                for a, z, w in zip(moved.X, Z.z, horocycle_flow(Z, t).z))

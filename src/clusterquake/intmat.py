@@ -27,7 +27,8 @@ def matmul(a, b) -> IntMatrix:
     """a * b.  Each entry is summed left to right from the int 0, so a
     float entry rounds as the plain loop would."""
     bt = list(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt])
+                  for row in a])
 
 
 def matvec(m, v):

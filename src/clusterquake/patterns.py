@@ -41,9 +41,11 @@ Conventions (all 0-based):
     coordinate change x^(v) = C * x^(v0) on the non-negative orthant of
     the base chart.
   * Cdual = C^{-s}_{v0->v}, the C-matrix of the opposite pattern at the
-    same path, steps by mutate_c_matrix with -eps.  By the tropical
-    duality of Nakanishi-Zelevinsky it is the inverse of cone_matrix(v),
-    so its rows cut out the cone of v.
+    same path, steps by the C-matrix recursion for -eps: the build runs
+    the C-matrix row kernel (_mutate_rows) with the sign flipped, and
+    makes no negated matrix.  By the tropical duality of
+    Nakanishi-Zelevinsky it is the inverse of cone_matrix(v), so its rows
+    cut out the cone of v.
   * G-matrix rows are g-vectors, g'_k = -g_k + sum_i [-s * eps_ki]+ g_i
     with s the tropical sign of c_k (Fomin-Zelevinsky IV); every cluster
     is checked against the duality C * diag(d) * G^T = diag(d).
@@ -63,7 +65,7 @@ import time
 from collections import Counter
 from functools import cached_property, lru_cache
 from math import factorial, prod
-from operator import index, itemgetter, mul
+from operator import index, itemgetter, mul, neg
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -75,36 +77,41 @@ from .errors import (
     PreconditionError,
 )
 from .fpoly import FPolynomial, f_matrix, mutate_F
-from .seeds import ExchangeMatrix, seed_from_type
+from .seeds import ExchangeMatrix, _is_id, seed_from_type
 
 DEFAULT_CAP = 50_000
 
 
 def _row_sign(row):
-    if all(x >= 0 for x in row) and any(row):
+    lo, hi = min(row), max(row)
+    if lo >= 0 < hi:
         return 1
-    if all(x <= 0 for x in row) and any(row):
+    if hi <= 0 > lo:
         return -1
     raise InternalConsistencyError(f"c-vector {row} is not sign-coherent")
+
+
+def _mutate_rows(M, s, col, k):
+    """M with row k negated and [s * col_i]+ * row k added to each other
+    row i, col being column k of an exchange matrix (col_k is 0).  With s
+    the tropical sign of row k it is the C-matrix recursion; the C^-
+    recursion, the C-matrix one for -eps, passes -s instead."""
+    mk = M[k]
+    rows = list(M)
+    for i, e in enumerate(col):
+        coef = s * e
+        if coef > 0:
+            rows[i] = tuple([x + coef * y for x, y in zip(M[i], mk)])
+    rows[k] = tuple(map(neg, mk))
+    return tuple(rows)
 
 
 def mutate_c_matrix(C, eps: ExchangeMatrix, k: int):
     """Row recursion for the C-matrix, written with the tropical sign of
     the k-th c-vector so that it is manifestly equivalent to transporting
     basis vectors: c'_k = -c_k, c'_i = c_i + [sign * eps_ik]+ * c_k."""
-    sign = _row_sign(C[k])
-    ck = C[k]
-    rows = []
-    for i, row in enumerate(C):
-        if i == k:
-            rows.append(tuple(-x for x in ck))
-            continue
-        coef = max(0, sign * eps.entries[i][k])
-        if coef:
-            rows.append(tuple(x + coef * y for x, y in zip(row, ck)))
-        else:
-            rows.append(row)
-    return tuple(rows)
+    col = [row[k] for row in eps.entries]
+    return _mutate_rows(C, _row_sign(C[k]), col, k)
 
 
 def _mutate_one(M, sign, coefs, k):
@@ -207,18 +214,9 @@ class Cone:
         return tuple(self.ids.values())
 
 
-def _is_id(vid, n):
-    """Whether vid is a vertex id of a pattern of n vertices: an integer
-    (an int, or what operator.index takes) in range(n)."""
-    try:
-        return 0 <= index(vid) < n
-    except TypeError:  # no integer, or an array of more than one
-        return False
-
-
 def _columns(M, p):
     """M with column i taken from column p[i]."""
-    return tuple(tuple(map(row.__getitem__, p)) for row in M)
+    return tuple(map(_composer(p), M))
 
 
 def _composer(p):
@@ -771,10 +769,11 @@ def _two_finite_violation(e):
 
 
 def _duality_holds(C, G, d, diag_d):
-    """C * diag(d) * G^T == diag(d), exactly."""
-    gd = [tuple(map(mul, row, d)) for row in G]
-    return tuple(tuple(sum(map(mul, c_row, g_row)) for g_row in gd)
-                 for c_row in C) == diag_d
+    """C * diag(d) * G^T == diag(d), exactly; diag_d is diag(d) as a list
+    of lists."""
+    gd = [list(map(mul, row, d)) for row in G]
+    return [[sum(map(mul, c_row, g_row)) for g_row in gd]
+            for c_row in C] == diag_d
 
 
 def _landing_perm(cone: Cone, C):
@@ -785,10 +784,10 @@ def _landing_perm(cone: Cone, C):
 def _is_relabeling(cone: Cone, tau, eps: ExchangeMatrix, C):
     """Whether (eps, C) is the cone's canonical seed with row i taken
     from row tau[i], by a tau that preserves the symmetrizer."""
-    e, d = cone.eps.entries, cone.eps.d
-    return (all(d[t] == x for t, x in zip(tau, d))
-            and tuple(cone.C[t] for t in tau) == C
-            and tuple(tuple(e[a][b] for b in tau) for a in tau) == eps.entries)
+    at = _composer(tau)
+    d = cone.eps.d
+    return (at(d) == d and at(cone.C) == C
+            and tuple(map(at, at(cone.eps.entries))) == eps.entries)
 
 
 def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
@@ -828,8 +827,8 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
     cap = _resolve_cap(cap)
     n = eps0.n
     d = eps0.d
-    diag_d = tuple(tuple(x if i == j else 0 for j in range(n))
-                   for i, x in enumerate(d))
+    diag_d = [[x if i == j else 0 for j in range(n)]
+              for i, x in enumerate(d)]
     ident = tuple(range(n))
     cones = []  # cluster id -> Cone
     cluster_of = {}  # frozenset of c-vectors -> cluster id
@@ -860,14 +859,15 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         reaches, kept in the landings at both ends."""
         src = cones[c]
         eps = src.eps.mutate(q)
-        C = mutate_c_matrix(src.C, src.eps, q)
+        col = [row[q] for row in src.eps.entries]  # for both C and C^-
+        C = _mutate_rows(src.C, _row_sign(src.C[q]), col, q)
         target = cluster_of.get(frozenset(C))
         if target is None:
+            Cd = src.inequalities
             target = new_cone(Cone(
                 eps, C, mutate_g_matrix(src.G, src.C, src.eps, q),
-                mutate_generators(src.generators, src.inequalities,
-                                  src.eps, q),
-                mutate_c_matrix(src.inequalities, -src.eps, q),
+                mutate_generators(src.generators, Cd, src.eps, q),
+                _mutate_rows(Cd, -_row_sign(Cd[q]), col, q),
                 (c, q), [None] * n))
             tau = ident
         else:
@@ -882,21 +882,18 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         src.landings[q] = target, tau
         cones[target].landings[tau[q]] = c, tuple(map(tau.index, ident))
 
-    def add(c, p):
-        vid = len(labels)
-        if vid >= cap:
-            raise PatternBudgetError(
-                f"exchange graph exceeds {cap} vertices; the mutation class "
-                "does not look finite (raise the cap via CLUSTER_QUAKE_CAP "
-                "if it is)", partial=pattern_so_far())
-        p = shared(p, p)
-        labels.append((c, p))
-        cones[c].ids[p] = vid
+    def over_cap():
+        return PatternBudgetError(
+            f"exchange graph exceeds {cap} vertices; the mutation class "
+            "does not look finite (raise the cap via CLUSTER_QUAKE_CAP "
+            "if it is)", partial=pattern_so_far())
 
     ident_m = intmat.identity(n)
     new_cone(Cone(eps0, ident_m, ident_m, ident_m, ident_m, None, [None] * n,
                   tuple(FPolynomial.constant(n) for _ in range(n))))
-    add(0, ident)
+    # the base vertex: the cap is at least 1
+    cones[0].ids[shared(ident, ident)] = 0
+    labels.append((0, ident))
     # labels is the queue: vertices are popped in id order, as added
     for vid, (c, p) in enumerate(labels):
         if p == ident:
@@ -917,17 +914,27 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
             for q in range(n):
                 cones[c].landings[q] or mutate(c, q)
         # the far ends' labels, as ExchangePattern._far_end makes them; one
-        # already in its cone's ids is an edge already found
+        # already in its cone's ids is an edge already found, and a new
+        # one is the next vertex, its label stored as one shared tuple
         landings, ids, at = cones[c].landings, cones[c].ids, _composer(p)
         for j in p:  # its mutation k is mutation p[k] of cluster c
             target, tau = landings[j]
             q = at(tau)
-            if q not in cones[target].ids:
-                add(target, q)
+            far = cones[target].ids
+            if q not in far:
+                if len(labels) >= cap:
+                    raise over_cap()
+                q = shared(q, q)
+                far[q] = len(labels)
+                labels.append((target, q))
         for get in perm_steps:
             q = get(p)
             if q not in ids:
-                add(c, q)
+                if len(labels) >= cap:
+                    raise over_cap()
+                q = shared(q, q)
+                ids[q] = len(labels)
+                labels.append((c, q))
     return pattern_so_far()
 
 

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index, neg
 
 from .errors import (
     InvalidTypeError,
@@ -24,8 +25,13 @@ from .errors import (
 from .intmat import IntMatrix
 
 
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
+def _is_id(i, n):
+    """Whether i is an index of n things: an integer (an int, or what
+    operator.index takes) in range(n)."""
+    try:
+        return 0 <= index(i) < n
+    except TypeError:  # no integer, or an array of more than one
+        return False
 
 
 def solve_symmetrizer(entries: IntMatrix) -> tuple[int, ...]:
@@ -150,21 +156,29 @@ class ExchangeMatrix:
         return len(self.entries)
 
     def mutate(self, k: int) -> "ExchangeMatrix":
-        """Matrix mutation in direction k (an involution)."""
-        n = self.n
-        if not 0 <= k < n:
-            raise IndexError(f"direction {k} out of range for rank {n}")
+        """Matrix mutation in direction k (an involution): row and column
+        k are negated, and eps_ij gains sgn(eps_ik) * [eps_ik * eps_kj]+,
+        which is eps_ik * [eps_kj]+ for eps_ik > 0 and eps_ik * [-eps_kj]+
+        for eps_ik < 0.  A row with eps_ik = 0 is kept as it is.
+        PreconditionError when k is not an integer in range(n)."""
         e = self.entries
-        new = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if i == k or j == k:
-                    row.append(-e[i][j])
-                else:
-                    row.append(e[i][j] + _sgn(e[i][k]) * max(0, e[i][k] * e[k][j]))
-            new.append(tuple(row))
-        return ExchangeMatrix(tuple(new), self.d)
+        if not _is_id(k, len(e)):
+            raise PreconditionError(
+                f"direction {k!r} is not an integer in range({len(e)})")
+        ek = e[k]
+        plus = [x if x > 0 else 0 for x in ek]
+        minus = [0 if x > 0 else -x for x in ek]
+        rows = []
+        for row in e:
+            a = row[k]
+            if a:
+                half = plus if a > 0 else minus
+                row = [x + a * y for x, y in zip(row, half)]
+                row[k] = -a
+                row = tuple(row)
+            rows.append(row)
+        rows[k] = tuple(map(neg, ek))
+        return ExchangeMatrix(tuple(rows), self.d)
 
     def relabel(self, sigma: Permutation) -> "ExchangeMatrix":
         """Simultaneous row/column relabeling by sigma."""

@@ -264,6 +264,7 @@ G0_BELOW_RANGE = "quake --type A2 --g0 1e-400,1 --L 1,1"
     "horocycle --type A2 --g0 1e-400,1 --L 1,2",
     "limits --type A2 --g0 1e-400,1",
     "limits --type G2 --t 1e308",
+    "horocycle --type A2 --g0 1,1 --L 1,2 --t 1e300",
     "quake --type G2 --L=7e307,-9e307",
     "quake --type G2 --L=8.653143139788164e307,-1.7893044531354165e308",
     G0_BELOW_RANGE,
@@ -277,6 +278,9 @@ def test_bad_input_is_a_usage_error(capsys, argv):
         # the fault is the starting point's, named after its flag, not
         # the image's or the g of the function --g0 is passed to
         assert "g0 is below the float range" in err
+    if argv.startswith("horocycle") and "--t 1e300" in argv:
+        # the fault is t's, not that of the point t * L
+        assert "t=1e+300 times L" in err, err
     for flag in ("t", "M"):
         if argv.startswith("limits") and re.search(rf"--{flag}\b", argv):
             # the message names the argument at fault, not a point made

@@ -396,6 +396,59 @@ def test_c_recursion_two_forms_agree():
                         == mutate_c_matrix_printed(v.C, v.eps, k))
 
 
+CARTAN_TYPES = (["A1xA1", "G2", "F4", "E6", "E7", "E8"]
+                + [f"A{n}" for n in range(1, 9)]
+                + [f"B{n}" for n in range(2, 9)]
+                + [f"C{n}" for n in range(3, 9)]
+                + [f"D{n}" for n in range(4, 9)])
+
+
+def mutate_eps_printed(e, k):
+    """Matrix mutation as Fomin-Zelevinsky print it (Cluster algebras I,
+    (4.3)): -e_ij if i or j is k, else
+    e_ij + (|e_ik| * e_kj + e_ik * |e_kj|) / 2, whose numerator is even."""
+    n = len(e)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if k in (i, j):
+                row.append(-e[i][j])
+            else:
+                twice = abs(e[i][k]) * e[k][j] + e[i][k] * abs(e[k][j])
+                assert twice % 2 == 0
+                row.append(e[i][j] + twice // 2)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CARTAN_TYPES), st.sampled_from(["linear", "bipartite"]),
+       st.lists(st.integers(0, 7), max_size=40))
+def test_cluster_step_kernels_match_the_printed_recursions(label, orientation,
+                                                           walk):
+    # along a random mutation walk from a seed of finite type, each step
+    # of the build's integer kernels equals the printed formula entry by
+    # entry: eps by Cluster algebras I (4.3), C by the two-bracket form,
+    # and C^-, the C-matrix of the opposite pattern, by the same form for
+    # -eps, which the build gets by flipping the sign (no -eps is made)
+    eps = seed_from_type(label, orientation)
+    n = eps.n
+    C = Cd = intmat.identity(n)
+    for k in walk:
+        k %= n
+        col = [row[k] for row in eps.entries]
+        new_eps = eps.mutate(k)
+        assert new_eps.entries == mutate_eps_printed(eps.entries, k)
+        assert new_eps.d == eps.d
+        new_C = mutate_c_matrix(C, eps, k)
+        assert new_C == mutate_c_matrix_printed(C, eps, k)
+        new_Cd = patterns._mutate_rows(Cd, -patterns._row_sign(Cd[k]), col, k)
+        assert new_Cd == mutate_c_matrix_printed(Cd, -eps, k)
+        assert new_Cd == mutate_c_matrix(Cd, -eps, k)
+        eps, C, Cd = new_eps, new_C, new_Cd
+
+
 def test_tropical_signs_at_base():
     P = pattern_from_type("B3")
     for k in range(P.n):
@@ -562,6 +615,17 @@ def test_wrong_g_recursion_fails_the_duality_check(monkeypatch):
                         lambda G, C, eps, k: G)
     with pytest.raises(InternalConsistencyError, match="diag"):
         pattern_from_type("B2")
+
+
+def test_frozen_generator_recursion_fails_the_orthant_check(monkeypatch):
+    # the build calls the module-level recursion, so a mutant that leaves
+    # the cone generators as they were reaches the exact check that the
+    # inequalities invert the generators
+    monkeypatch.setattr(patterns, "mutate_generators",
+                        lambda gens, Cdual, eps, k: gens)
+    P = pattern_from_type("B3")
+    with pytest.raises(InternalConsistencyError, match="inverse"):
+        P.orthants
 
 
 def test_build_path_needs_no_fraction_inverse(monkeypatch):

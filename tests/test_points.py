@@ -139,14 +139,27 @@ BEYOND_FLOATS = {
         lambda P: cq.dquake(P, G0, TropicalPoint(0, (HUGE, 1)),
                             method="finite_difference"), "L"),
     "log_transport": (lambda P: log_transport((HUGE, 0), P, 0, 3), "logX"),
+    "quake_log-log_g0": (lambda P: cq.quake_log(P, (HUGE, 0.0),
+                                                TropicalPoint(0, (1, 1))),
+                         "log_g0"),
+    "quake_multiplier": (lambda P: cq.quake_multiplier(P, G0, 0, (HUGE, 1)),
+                         "multipliers"),
+    "conjugacy_residual": (
+        lambda P: cq.conjugacy_residual(P, G0, TropicalPoint(0, (1, 2)), HUGE),
+        "t is"),
+    "conjugacy_residual-float": (
+        lambda P: cq.conjugacy_residual(P, G0, TropicalPoint(0, (1, 2)),
+                                        1e300),
+        r"t=1e\+300 times L"),
 }
 
 
 @pytest.mark.parametrize("case", BEYOND_FLOATS)
 def test_an_int_beyond_the_float_range_raises_float_range_error(A2, case):
     # each raised a bare OverflowError from an int-to-float conversion
-    # (the float scaling factor a CoordinateError at inf); the message
-    # names the argument at fault
+    # (the float scaling factor a CoordinateError at inf), or named a
+    # point the caller never gave (log_g0 as logX, t as L or t * L); the
+    # message names the argument at fault
     call, named = BEYOND_FLOATS[case]
     with pytest.raises(FloatRangeError, match=rf"\b{named}\b"):
         call(A2)

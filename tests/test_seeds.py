@@ -1,13 +1,17 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from clusterquake import (
     ExchangeMatrix,
+    FPolynomial,
     InvalidTypeError,
     Permutation,
+    PreconditionError,
     SkewSymmetrizabilityError,
     SymmetrizerMismatchError,
     build_cartan_seed,
+    mutate_F,
     seed_from_type,
 )
 
@@ -133,6 +137,32 @@ def test_mutation_matches_reference_and_is_involutive(seed, k):
 def test_negation_commutes_with_mutation(seed):
     for k in range(seed.n):
         assert (-seed).mutate(k) == -(seed.mutate(k))
+
+
+MUTATIONS = {
+    "ExchangeMatrix.mutate": lambda eps, k: eps.mutate(k),
+    "mutate_F": lambda eps, k: mutate_F(
+        (FPolynomial.constant(eps.n),) * eps.n,
+        tuple(tuple(int(i == j) for j in range(eps.n))
+              for i in range(eps.n)), eps, k),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("k", [3, -1, 1.5, "1", None],
+                         ids=["n", "negative", "float", "str", "None"])
+def test_a_direction_that_is_no_index_raises_precondition_error(mutation, k):
+    # n and -1 raised a bare IndexError (or read direction n-1), 1.5 and
+    # "1" a bare TypeError
+    with pytest.raises(PreconditionError, match=r"direction .* range\(3\)"):
+        MUTATIONS[mutation](seed_from_type("A3"), k)
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_integers_of_every_kind_are_directions(mutation):
+    eps = seed_from_type("A3")
+    mutate = MUTATIONS[mutation]
+    assert mutate(eps, np.int64(1)) == mutate(eps, 1) == mutate(eps, True)
 
 
 def test_permutation_basics():
