@@ -62,21 +62,30 @@ def quake_multiplier(P: ExchangePattern, g0: PositivePoint, vid: int,
 
     This is the arithmetic core of quake: exact when g0 and the
     multipliers are rational, which the identity tests rely on.
-    PreconditionError unless there is one multiplier per direction, and
-    FloatRangeError naming the multipliers when one is an int or Fraction
-    whose product with a float coordinate is beyond the float range.
+    PreconditionError unless there is one multiplier per direction,
+    CoordinateError unless each is finite and positive, and
+    FloatRangeError naming the multipliers when a product with a float
+    coordinate is beyond or below the float range.
     """
     P.check_rank(multipliers)
     gv = positive_transport(g0, P, vid)
     try:
-        rescaled = PositivePoint(vid, tuple(map(mul, multipliers, gv.X)))
+        X = tuple(map(mul, multipliers, gv.X))
     except TypeError:  # a multiplier that is not a real number
         raise CoordinateError(
             f"multipliers must be real numbers, got {multipliers}") from None
     except OverflowError:  # an int or Fraction times a float coordinate
+        X = (math.inf,)  # beyond the float range, as a float product at inf
+    try:
+        rescaled = PositivePoint(vid, X)
+    except CoordinateError:
+        # a multiplier that is not finite and positive is refused as one;
+        # else a float product overflowed to inf or underflowed to 0.0
+        PositivePoint(vid, multipliers)
         raise FloatRangeError(
             f"the multipliers take the chart-{vid} coordinates of g0 "
-            "beyond the float range") from None
+            + ("beyond" if math.inf in X else "below")
+            + " the float range") from None
     return positive_transport(rescaled, P, g0.chart)
 
 

@@ -1,16 +1,20 @@
 """Labeled exchange graphs of finite-type mutation classes.
 
-enumerate_pattern performs a breadth-first closure of an initial seed
-under the n matrix mutations and the symmetrizer-preserving
-transpositions, deduplicating labeled seeds by the pair (exchange
-matrix, C-matrix).  The exact work is done once per cluster, and each
-cluster is one Cone record, made by the first mutation that reaches it.
-A cluster's n mutations are made once, when the BFS pops its first
-vertex; the labeled layer is only a numbering over the records: every
-labeled vertex is its cluster's canonical seed with the rows permuted,
-stored as the pair (cluster id, permutation), numbered through the
-record's map from permutations to vertex ids, and built into a
-PatternVertex the first time it is read.  Each distinct permutation is
+enumerate_pattern builds the exchange pattern of an initial seed: its
+clusters, each one Cone record, and its labeled seeds, the closure of
+the initial seed under the n matrix mutations and the
+symmetrizer-preserving transpositions, deduplicated by the pair
+(exchange matrix, C-matrix).  The exact work is done once per cluster:
+the cluster loop visits the records in order and makes each cluster's n
+mutations, each new cluster's record made by the first mutation that
+reaches it.  The labeled layer is only a numbering over the records,
+made by a breadth-first search that reads their landings: every labeled
+vertex is its cluster's canonical seed with the rows permuted, stored as
+the pair (cluster id, permutation), numbered through the record's map
+from permutations to vertex ids, and built into a PatternVertex the
+first time it is read.  A complete pattern runs that search on its first
+labeled read, so that the build, len(), the fan, its orthant index and
+the statistics number no labeled seed.  Each distinct permutation is
 one tuple, shared by every vertex and map key that carries it, and a
 labeled step composes permutations by one operator.itemgetter call.
 Each record carries its cluster's C-matrix, its dual C-matrix C^- (the
@@ -175,21 +179,31 @@ class Cone:
     kept in the order they are made, and a record's place in that list
     is its cluster id and its position in fan().
 
-    It holds the cluster's canonical seed, in the labeling of that first
-    vertex, and ids, {label p: vertex id} for the cluster's labeled seeds
-    in id order; the first vertex carries the identity label.  The
-    records form the cluster-level exchange graph: parent is (parent
-    cone's position, direction), a smaller position, and landings[q] is
-    (position, tau) for the cluster that mutation q reaches, row i of the
-    landed seed being row tau[i] of that cluster's canonical seed, or None
-    while that mutation has not been made: all n are made when the BFS
-    pops the cluster's first vertex, so only a cluster not yet popped
-    (in a partial pattern) lacks some.
+    It holds the cluster's canonical seed, in the labeling of its first
+    vertex.  The records form the cluster-level exchange graph: parent
+    is (parent cone's position, direction), a smaller position, and
+    landings[q] is (position, tau) for the cluster that mutation q
+    reaches, row i of the landed seed being row tau[i] of that cluster's
+    canonical seed, or None while that mutation has not been made: a
+    complete pattern has all n, and a partial one lacks some only on the
+    clusters whose first vertex its search did not pop.
+
+    ids, {label p: vertex id} for the cluster's labeled seeds in id
+    order, and vertex_id, the first of them, labeled by the identity (None
+    on a record with no vertex), are the record's share of its pattern's
+    numbering (_Numbering).  A complete pattern numbers its labeled seeds
+    on the first labeled read: until then these two slots are unset, and
+    numbering and position are the pattern's numbering and the record's
+    place in it, so that the first read of either, here or through the
+    pattern, numbers the pattern and hands the record its share (_take);
+    vertex_id is then a plain slot read.  The numbering holds no record
+    and no pattern, so the record reads its ids whether or not its pattern
+    was dropped, and no cycle keeps a dropped pattern alive.
 
     The rest is built on first read and kept, for the first vertex: Fs by
-    _f_polynomials, based by ExchangePattern.based_matrices and opp_cone
-    by ExchangePattern.opposite_cone_matrix.  A member labeled p reads
-    them with its direction i taken from direction p[i]."""
+    _f_polynomials, based by ExchangePattern._based and opp_cone by
+    ExchangePattern._opp_cone.  A member labeled p reads them with its
+    direction i taken from direction p[i]."""
 
     eps: ExchangeMatrix
     C: intmat.IntMatrix
@@ -199,14 +213,25 @@ class Cone:
     parent: tuple | None  # (parent cone's position, direction); None at base
     landings: list  # direction -> (position, tau), or None
     Fs: tuple | None = None
-    ids: dict = field(default_factory=dict)
+    ids: dict = field(default_factory=dict, repr=False)
+    vertex_id: int | None = field(default=None, repr=False)
     based: BasedMatrices | None = None  # the first vertex's based_matrices
     opp_cone: tuple | None = None  # the first vertex's C^{-s}_{v->v0}
+    numbering: _Numbering | None = field(default=None, repr=False)
+    position: int | None = field(default=None, repr=False)
 
-    @property
-    def vertex_id(self):
-        """The cluster's first vertex, the one labeled by the identity."""
-        return next(iter(self.ids.values()))
+    def __getattr__(self, name):
+        # reached only for an unset slot: ids and vertex_id, on a record
+        # of a complete pattern whose record has not yet taken its share
+        if name not in ("ids", "vertex_id"):
+            raise AttributeError(name)
+        self._take(self.numbering.number()[1][self.position])
+        return object.__getattribute__(self, name)
+
+    def _take(self, ids):
+        """Set ids and vertex_id, the first of them, or None."""
+        self.ids = ids
+        self.vertex_id = next(iter(ids.values()), None)
 
     @property
     def members(self):
@@ -260,6 +285,47 @@ class BasedMatrices(NamedTuple):
     Fmat: intmat.IntMatrix
 
 
+class _Numbering:
+    """The labeled seeds of a pattern's records, numbered by the labeled
+    search (_label_seeds): labels, [(cluster id, p), ...] by vertex id,
+    ids, each record's {label: vertex id}, and seconds, the search's CPU
+    seconds.  Those of a partial pattern are given; a complete pattern's
+    are None until the first call of number() runs the search.
+
+    The pattern and each of its records hold it, and it holds only what
+    the search reads: each record's landings, eps0 (for d and the
+    transpositions) and the cap.  It holds no record and no pattern, so
+    it forms no reference cycle, and a record reads its ids from it
+    whether or not its pattern is still alive."""
+
+    __slots__ = ("landings", "eps0", "cap", "labels", "ids", "seconds")
+
+    def __init__(self, landings, eps0, cap, labels=None, ids=None,
+                 seconds=None):
+        self.landings = landings
+        self.eps0 = eps0
+        self.cap = cap
+        self.labels = labels
+        self.ids = ids
+        self.seconds = seconds
+
+    def number(self):
+        """(labels, ids), running the labeled search on the first call.
+        The records are complete, so every cluster has prod m_i! labels
+        (_labels_per_cluster), which is checked."""
+        if self.labels is None:
+            start = time.process_time()
+            labels, ids = _label_seeds(self.landings, self.eps0, self.cap)
+            size = len(self.landings) * _labels_per_cluster(self.eps0.d)
+            if len(labels) != size:
+                raise InternalConsistencyError(
+                    f"the labeled search numbered {len(labels)} seeds, not "
+                    f"clusters x prod m_i! = {size}")
+            self.labels, self.ids = labels, ids
+            self.seconds = time.process_time() - start
+        return self.labels, self.ids
+
+
 class ExchangePattern:
     """Immutable labeled exchange graph rooted at vertex 0.
 
@@ -271,13 +337,19 @@ class ExchangePattern:
     in its slot.  No edge is stored: neighbor() reads an edge's far end
     off the records' landings.  Nor is the labeled BFS tree: route()
     replays it from the landings on first read (_parents).  The pattern
-    owns the lists it is given."""
+    owns the lists it is given.
 
-    def __init__(self, labels, type_tag, cap, cones, bfs_s=None):
-        self._labels = labels
+    Given labels, the pattern is partial (or an oracle's), and its
+    records hold their ids.  Given none, the records are complete, and
+    the labels and each record's ids are numbered on the first labeled
+    read (_labels, _Numbering); len(), fan(), orthants and stats number
+    none."""
+
+    def __init__(self, labels, type_tag, cap, cones, bfs_s=None,
+                 label_s=None):
         self._cones = cones
-        self._slots = [None] * len(labels)
         self.eps0 = cones[0].eps
+        self._ident = tuple(range(self.eps0.n))
         # every edge label: ("mu", k), then ("perm", images) by images
         self._edge_labels = [("mu", k) for k in range(self.eps0.n)] + sorted(
             ("perm", s.images) for s in self.eps0.admissible_transpositions())
@@ -288,6 +360,36 @@ class ExchangePattern:
         self._fan = None
         self._bfs_s = bfs_s
         self._fan_s = None
+        self._partial = labels is not None
+        landings = [cone.landings for cone in cones]
+        if labels is not None:
+            self._numbering = _Numbering(landings, self.eps0, cap, labels,
+                                         [cone.ids for cone in cones], label_s)
+            self._labels = labels  # shadows the cached property
+            self._size = len(labels)
+        else:
+            self._numbering = numbering = _Numbering(landings, self.eps0, cap)
+            self._size = len(cones) * _labels_per_cluster(self.eps0.d)
+            for c, cone in enumerate(cones):
+                cone.numbering, cone.position = numbering, c
+                del cone.ids, cone.vertex_id
+        self._built = 0  # the vertices built so far
+
+    @cached_property
+    def _labels(self):
+        """[(cluster id, p), ...] by vertex id: a complete pattern's are
+        numbered on the first read, by its numbering, and every record
+        takes its ids."""
+        labels, ids = self._numbering.number()
+        _settle(self._cones, ids)
+        return labels
+
+    @cached_property
+    def _slots(self):
+        """The PatternVertex of each vertex id, or None until it is read:
+        a list made on its first read, as len(P) slots would not fit in
+        memory at E7-E8."""
+        return [None] * len(self._labels)
 
     # -- basic access ----------------------------------------------------
 
@@ -306,7 +408,7 @@ class ExchangePattern:
         return tuple(map(self.vertex, range(len(self))))
 
     def __len__(self):
-        return len(self._slots)
+        return self._size
 
     def _record(self, vid):
         """(cone, p): the Cone record of vertex vid's cluster and the
@@ -330,6 +432,7 @@ class ExchangePattern:
             C=C, Cdual=Cdual, G=G, Fs=None,
             f_source=(self._cones, self._labels))
         object.__delattr__(v, "Fs")
+        self._built += 1
         return v
 
     def vertex(self, vid) -> PatternVertex:
@@ -506,6 +609,18 @@ class ExchangePattern:
         r's with every C column, F exponent and Fmat column i taken from
         p[i], built on each read and not kept."""
         cone, p = self._record(vid)
+        based = self._based(cone)
+        if p == self._ident:  # the first vertex: the record's own
+            return based
+        C, Fs, Fmat = based
+        Fs = tuple(FPolynomial._of(f.nvars, dict(zip(_columns(f.terms, p),
+                                                     f.terms.values())))
+                   for f in Fs)
+        return BasedMatrices(_columns(C, p), Fs, _columns(Fmat, p))
+
+    def _based(self, cone):
+        """The based matrices of cone's first vertex, walked to the base on
+        the first read and kept on the record."""
         if cone.based is None:
             d = self.d
 
@@ -519,13 +634,7 @@ class ExchangePattern:
                           for row in intmat.identity(self.n))
             C, Fs = zip(*self.walk(start, cone.vertex_id, self.base, step))
             cone.based = BasedMatrices(C, Fs, f_matrix(Fs))
-        if p == tuple(range(self.n)):  # the first vertex: the record's own
-            return cone.based
-        C, Fs, Fmat = cone.based
-        Fs = tuple(FPolynomial._of(f.nvars, dict(zip(_columns(f.terms, p),
-                                                     f.terms.values())))
-                   for f in Fs)
-        return BasedMatrices(_columns(C, p), Fs, _columns(Fmat, p))
+        return cone.based
 
     def opposite_cone_matrix(self, vid):
         """C^{-s}_{v->v0}, the cone matrix of the opposite pattern at the
@@ -534,6 +643,11 @@ class ExchangePattern:
         cluster, from the canonical G, and a member's is its columns taken
         by the label: row i of the member's G is row p[i], and p keeps d."""
         cone, p = self._record(vid)
+        return _columns(self._opp_cone(cone), p)
+
+    def _opp_cone(self, cone):
+        """The opposite cone matrix of cone's first vertex, built on the
+        first read and kept on the record."""
         if cone.opp_cone is None:
             d, G = self.d, cone.G
             qr = [[divmod(di * G[j][i], dj) for j, dj in enumerate(d)]
@@ -543,7 +657,7 @@ class ExchangePattern:
                     f"cone {cone.vertex_id}: diag(d) * G^T * diag(d)^-1 is "
                     "not integral")
             cone.opp_cone = tuple(tuple(q for q, _ in row) for row in qr)
-        return _columns(cone.opp_cone, p)
+        return cone.opp_cone
 
     # -- opposite class ----------------------------------------------------
 
@@ -573,11 +687,11 @@ class ExchangePattern:
         of the cluster's, taken by v's label; no F-polynomial is
         permuted."""
         cone, p = self._record(vid)
-        based = self.based_matrices(cone.vertex_id)
+        based = self._based(cone)
         eF = intmat.matmul(self.eps0.entries, _columns(based.Fmat, p))
         residual = tuple(tuple(c + e - o for c, e, o in zip(*rows))
                          for rows in zip(_columns(based.C, p), eF,
-                                         self.opposite_cone_matrix(vid)))
+                                         _columns(self._opp_cone(cone), p)))
         ok = all(x == 0 for row in residual for x in row)
         return ok, residual
 
@@ -587,7 +701,7 @@ class ExchangePattern:
         v's label p takes both the columns of F^s and the rows of C^{+/-s}
         from p, so the product is its cluster's, read off the record."""
         cone, _ = self._record(vid)
-        product = intmat.matmul(self.based_matrices(cone.vertex_id).Fmat,
+        product = intmat.matmul(self._based(cone).Fmat,
                                 cone.C if sign >= 0 else cone.inequalities)
         ok = all(x <= 0 for row in product for x in row)
         return product, ok
@@ -596,12 +710,12 @@ class ExchangePattern:
 
     def fan(self):
         """Maximal cones, one Cone record per cluster, in cluster-id order,
-        which is the vertex-id order of their first vertices; the clusters
-        made at the last popped vertex before the cap stopped the build
-        may have no vertex and then no cone, and they are the last
-        records.  So a cone's position in the fan is its cluster id, which
-        the labels of the first vertices confirm: a record with no vertex
-        before one with a vertex would shift the positions after it.
+        which is the vertex-id order of their first vertices.  A complete
+        pattern returns every record and numbers no labeled seed.  In a
+        partial one, the clusters made at the last popped vertex before the
+        cap stopped the build may have no vertex and then no cone, and they
+        are the last records: the records with a vertex are checked to come
+        first, so that a cone's position in the fan is its cluster id.
 
         The vertices of one cluster share its cone, and distinct clusters
         of a finite type have distinct cones; a cone's generators and
@@ -616,20 +730,22 @@ class ExchangePattern:
         fan()[cone.parent[0]], to the cone by one mutation."""
         if self._fan is None:
             start = time.process_time()
-            fan = tuple(cone for cone in self._cones if cone.ids)
-            ident = tuple(range(self.n))
+            cones, ident = self._cones, self._ident
+            # every record of a complete pattern has its cluster's labels
+            fan = (tuple(cone for cone in cones if cone.ids)
+                   if self._partial else tuple(cones))
             for c, cone in enumerate(fan):
-                rep = cone.vertex_id
-                if self._labels[rep] != (c, ident):
+                if cone is not cones[c]:
                     raise InternalConsistencyError(
-                        f"cone {rep} is labeled {self._labels[rep]}, not as "
-                        f"the canonical seed of cluster {c}")
+                        f"record {c} has no vertex but a later record has "
+                        f"one, so no cone is the canonical seed of "
+                        f"cluster {c}")
                 # mutation k of fan[up], an earlier cone, lands on the
                 # cone's first vertex
                 up, k = cone.parent or (c, None)
                 if c and not (up < c and fan[up].landings[k] == (c, ident)):
                     raise InternalConsistencyError(
-                        f"cone {rep} has parent {cone.parent}, which is not "
+                        f"cone {c} has parent {cone.parent}, which is not "
                         "a mutation from an earlier cone landing on it")
             self._fan = fan
             self._fan_s = time.process_time() - start
@@ -679,11 +795,15 @@ class ExchangePattern:
     def stats(self):
         """Counts, CPU seconds per phase and cache sizes, as a dict.
 
-        Builds the fan and its orthant index if they have not been built.
-        `vertex_cache` counts the vertices built so far, `f_clusters` the
-        clusters whose F-polynomials are built (the base's from the
-        start), and `based_cache` the clusters whose based matrices are
-        built: no cache is kept per vertex but the built vertices.
+        Builds the fan and its orthant index if they have not been built,
+        and numbers no labeled seed.  `bfs_s` is the CPU seconds of the
+        build's cluster loop, and `label_s` those of the labeled search,
+        or None until a labeled read has run it (a partial pattern's build
+        runs it).  `vertex_cache` counts the vertices built so far,
+        `f_clusters` the clusters whose F-polynomials are built (the
+        base's from the start), and `based_cache` the clusters whose
+        based matrices are built: no cache is kept per vertex but the
+        built vertices.
         `orthants` counts the orthants that hold a cone, and `orthant_max`
         the cones of the fullest one.
 
@@ -697,8 +817,7 @@ class ExchangePattern:
         buckets = self.orthants.buckets
         V = len(self)
         t = len(self._edge_labels) - self.n
-        per_cluster = prod(map(factorial, Counter(self.d).values()))
-        if (V == len(self._cones) * per_cluster
+        if (V == len(self._cones) * _labels_per_cluster(self.d)
                 and all(None not in cone.landings for cone in self._cones)):
             mu, perm = V * self.n // 2, V * t // 2
         else:
@@ -711,10 +830,11 @@ class ExchangePattern:
             "relabel_edges": perm,
             "cones": len(fan),
             "bfs_s": self._bfs_s,
+            "label_s": self._numbering.seconds,
             "fan_s": self._fan_s,
             "based_cache": sum(c.based is not None for c in self._cones),
             "f_clusters": sum(cone.Fs is not None for cone in self._cones),
-            "vertex_cache": len(self._slots) - self._slots.count(None),
+            "vertex_cache": self._built,
             "orthants": len(buckets),
             "orthant_max": max(map(len, buckets.values())),
         }
@@ -758,13 +878,13 @@ def _resolve_cap(cap):
 
 
 def _two_finite_violation(e):
-    """A pair (i, j) with |e_ij * e_ji| > 3 in the exchange matrix entries
-    e, or None.  No matrix in a mutation class of finite type has one
-    (Fomin-Zelevinsky, Cluster algebras II)."""
+    """(i, j, |e_ij * e_ji|) for a pair with |e_ij * e_ji| > 3 in the
+    exchange matrix entries e, or None.  No matrix in a mutation class of
+    finite type has one (Fomin-Zelevinsky, Cluster algebras II)."""
     for i in range(len(e)):
         for j in range(i + 1, len(e)):
             if abs(e[i][j] * e[j][i]) > 3:
-                return i, j
+                return i, j, abs(e[i][j] * e[j][i])
     return None
 
 
@@ -790,59 +910,38 @@ def _is_relabeling(cone: Cone, tau, eps: ExchangeMatrix, C):
             and tuple(map(at, at(cone.eps.entries))) == eps.entries)
 
 
-def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
-                      type_tag="custom") -> ExchangePattern:
-    """Breadth-first closure of the initial seed under mutations and
-    admissible transpositions, deduplicated by (eps, C).
+def _labels_per_cluster(d):
+    """prod m_i!, m_i the multiplicities of the entries of d: the
+    permutations that keep d, which the admissible transpositions
+    generate, so that every cluster has one labeled seed for each."""
+    return prod(map(factorial, Counter(d).values()))
 
-    A labeled seed is stored as (cluster, p): row i of each of its
-    matrices is row p[i] of the canonical seed in the cluster's Cone
-    record, whose ids map p back to the vertex id.  Mutation commutes
-    with relabeling, so a cluster's work runs once, when its first vertex
-    is popped: the 2-finite test, then every mutation of the cluster not
-    yet made from the other end.  The exact mutation of eps and C runs
-    once per cluster edge, and that of C^-, G and the cone generators
-    once per new cluster; F is left to the first read (see
+
+def _records(eps0):
+    """(cones, landings, work): the list of Cone records, holding the base
+    cluster's, the list of their landings, and work(c), the work of
+    cluster c, which grows both.
+
+    work(c) runs the 2-finite test on cluster c's exchange matrix and
+    returns what _two_finite_violation finds; if it finds nothing, it
+    makes every mutation of c not yet made from the other end and
+    returns None.
+    Relabeling keeps |eps_ij * eps_ji| over the pairs, so one test per
+    cluster covers its labeled seeds.  The exact mutation of eps and C
+    runs once per cluster edge, and that of C^-, G and the cone
+    generators once per new cluster; F is left to the first read (see
     _f_polynomials).  The landing is kept at both ends, in the records'
     landings, as (cluster', tau) with row i of the landed seed equal to
     row tau[i] of the canonical seed of cluster' (clusters are keyed by
-    their set of c-vectors); a labeled step (cluster, p) -> (cluster',
-    tau o p) only reads it.  It composes by itemgetter(*p), made once per
-    popped vertex and applied to each landing's tau, and a relabeling by
-    one getter per admissible transposition, made once per build (see
-    _composer).  Each distinct label is stored as one tuple, which every
-    vertex and ids key that carries it shares.  A new cluster is only
-    ever made at the first vertex of its parent cluster, which carries
-    the identity label, so the new cluster's first vertex is labeled by
-    the identity as well.  The search tree is not stored: the records'
-    parents and landings hold it at cluster level, and route() replays
-    the labeled tree from them when it is first read.
-
-    Raises NotFiniteTypeError at the first exchange matrix that shows the
-    class is not of finite type, and PatternBudgetError when the vertex
-    budget is exceeded; either way the partially built pattern is
-    attached to the exception.
-    """
-    start = time.process_time()
-    cap = _resolve_cap(cap)
+    their set of c-vectors)."""
     n = eps0.n
     d = eps0.d
     diag_d = [[x if i == j else 0 for j in range(n)]
               for i, x in enumerate(d)]
     ident = tuple(range(n))
     cones = []  # cluster id -> Cone
+    landings = []  # cluster id -> its record's landings
     cluster_of = {}  # frozenset of c-vectors -> cluster id
-    labels = []  # vid -> (cluster id, p)
-    shared = {}.setdefault  # one tuple per distinct label
-    # row i of a seed relabeled by a transposition is row images^-1(i) =
-    # images(i) (a transposition is its own inverse): it is labeled
-    # p o images
-    perm_steps = [_composer(s.images)
-                  for s in eps0.admissible_transpositions()]
-
-    def pattern_so_far():
-        return ExchangePattern(labels, type_tag, cap, cones,
-                               bfs_s=time.process_time() - start)
 
     def new_cone(cone):
         # a labeled vertex is the cluster's seed with its rows permuted by
@@ -852,6 +951,7 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
                 f"cluster {len(cones)}: C * diag(d) * G^T != diag(d)")
         cluster_of[frozenset(cone.C)] = len(cones)
         cones.append(cone)
+        landings.append(cone.landings)
         return len(cones) - 1
 
     def mutate(c, q):
@@ -882,60 +982,186 @@ def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
         src.landings[q] = target, tau
         cones[target].landings[tau[q]] = c, tuple(map(tau.index, ident))
 
-    def over_cap():
-        return PatternBudgetError(
-            f"exchange graph exceeds {cap} vertices; the mutation class "
-            "does not look finite (raise the cap via CLUSTER_QUAKE_CAP "
-            "if it is)", partial=pattern_so_far())
+    def work(c):
+        bad = _two_finite_violation(cones[c].eps.entries)
+        if bad is None:
+            made = landings[c]
+            for q in range(n):
+                made[q] or mutate(c, q)
+        return bad
 
     ident_m = intmat.identity(n)
     new_cone(Cone(eps0, ident_m, ident_m, ident_m, ident_m, None, [None] * n,
                   tuple(FPolynomial.constant(n) for _ in range(n))))
-    # the base vertex: the cap is at least 1
-    cones[0].ids[shared(ident, ident)] = 0
-    labels.append((0, ident))
+    return cones, landings, work
+
+
+def _label_seeds(landings, eps0, cap, work=None, partial=None):
+    """The labeled search: the breadth-first closure of the base vertex
+    (0, identity) under the n mutations and the admissible
+    transpositions of eps0, which numbers each labeled seed in the order
+    it first reaches it.  Returns (labels, ids): [(cluster id, p), ...]
+    by vertex id, and each cluster's {label: vertex id} in id order,
+    having checked that each cluster's first vertex carries the identity
+    label (_check_first_vertices).
+
+    Mutation commutes with relabeling, so a labeled step only reads the
+    records' landings, landings[c] being cluster c's: vertex (c, p)
+    mutates in direction k as cluster c does in direction p[k], to
+    (c', tau o p) with (c', tau) that landing, and relabels by a
+    transposition to (c, p o images).  It composes by
+    itemgetter(*p), made once per popped vertex and applied to each
+    landing's tau, and a relabeling by one getter per admissible
+    transposition, made once per search (see _composer).  Each distinct
+    label is stored as one tuple, which every vertex and ids key that
+    carries it shares.  Every cluster has prod m_i! labels
+    (_labels_per_cluster): no relabeling step is taken from a cluster
+    that holds them all, nor a mutation step into one, as neither could
+    add a vertex, and the search stops once every cluster holds them all
+    and no cluster's work is left.
+
+    Without work, the records are complete.  Given work (_records), the
+    records grow with the search: it runs a cluster's work when it pops
+    the cluster's first vertex, which carries the identity label, as a
+    new cluster is only ever made at the first vertex of its parent
+    cluster.  It raises NotFiniteTypeError at the first cluster that
+    fails the 2-finite test, and PatternBudgetError when a new vertex
+    would pass the cap, either with partial(labels, ids), the pattern so
+    far, attached."""
+    ident = tuple(range(eps0.n))
+    full = _labels_per_cluster(eps0.d)
+    # row i of a seed relabeled by a transposition is row images^-1(i) =
+    # images(i) (a transposition is its own inverse): it is labeled
+    # p o images
+    steps = [_composer(s.images) for s in eps0.admissible_transpositions()]
+    shared = {}.setdefault  # one tuple per distinct label
+    labels = [(0, shared(ident, ident))]
+    ids = [{} for _ in landings]  # cluster id -> {label: vertex id}
+    ids[0][ident] = 0
+    filled = int(full == 1)  # the clusters that hold all their labels
+    done = 0 if work else len(landings)  # the clusters whose work has run
+
+    def stop(error, message):
+        _check_first_vertices(labels, ids)
+        return error(message,
+                     partial=partial(labels, ids) if partial else None)
+
+    def over_cap():
+        return stop(PatternBudgetError,
+                    f"exchange graph exceeds {cap} vertices; the mutation "
+                    "class does not look finite (raise the cap via "
+                    "CLUSTER_QUAKE_CAP if it is)")
+
     # labels is the queue: vertices are popped in id order, as added
     for vid, (c, p) in enumerate(labels):
-        if p == ident:
-            # the first vertex popped from a cluster, where the cluster's
-            # own work runs once; relabeling keeps |eps_ij * eps_ji| over
-            # the pairs, so one test per cluster
-            e = cones[c].eps.entries
-            bad = _two_finite_violation(e)
+        if work and p == ident:
+            bad = work(c)
             if bad is not None:
-                i, j = bad
-                raise NotFiniteTypeError(
-                    f"exchange matrix at vertex {vid} has |eps_{i}{j} * "
-                    f"eps_{j}{i}| = {abs(e[i][j] * e[j][i])} > 3; the "
-                    "mutation class is not of finite type",
-                    partial=pattern_so_far())
-            # then every mutation not yet made from the other end, so
-            # that the labeled steps below only read landings
-            for q in range(n):
-                cones[c].landings[q] or mutate(c, q)
+                i, j, product = bad
+                raise stop(NotFiniteTypeError,
+                           f"exchange matrix at vertex {vid} has |eps_{i}{j} "
+                           f"* eps_{j}{i}| = {product} > 3; "
+                           "the mutation class is not of finite type")
+            ids.extend({} for _ in landings[len(ids):])
+            done += 1
         # the far ends' labels, as ExchangePattern._far_end makes them; one
-        # already in its cone's ids is an edge already found, and a new
+        # already in its cluster's ids is an edge already found, and a new
         # one is the next vertex, its label stored as one shared tuple
-        landings, ids, at = cones[c].landings, cones[c].ids, _composer(p)
+        made, own, at = landings[c], ids[c], _composer(p)
         for j in p:  # its mutation k is mutation p[k] of cluster c
-            target, tau = landings[j]
-            q = at(tau)
-            far = cones[target].ids
-            if q not in far:
-                if len(labels) >= cap:
-                    raise over_cap()
-                q = shared(q, q)
-                far[q] = len(labels)
-                labels.append((target, q))
-        for get in perm_steps:
-            q = get(p)
-            if q not in ids:
-                if len(labels) >= cap:
-                    raise over_cap()
-                q = shared(q, q)
-                ids[q] = len(labels)
-                labels.append((c, q))
-    return pattern_so_far()
+            target, tau = made[j]
+            far = ids[target]
+            if len(far) < full:
+                q = at(tau)
+                if q not in far:
+                    if len(labels) >= cap:
+                        raise over_cap()
+                    q = shared(q, q)
+                    far[q] = len(labels)
+                    labels.append((target, q))
+                    filled += len(far) == full
+        if len(own) < full:
+            for get in steps:
+                q = get(p)
+                if q not in own:
+                    if len(labels) >= cap:
+                        raise over_cap()
+                    q = shared(q, q)
+                    own[q] = len(labels)
+                    labels.append((c, q))
+                    filled += len(own) == full
+        if filled == done == len(landings):
+            break
+    _check_first_vertices(labels, ids)
+    return labels, ids
+
+
+def _check_first_vertices(labels, ids):
+    """InternalConsistencyError unless the first vertex of each cluster
+    with a vertex carries the identity label: its record holds the
+    cluster's seed in that vertex's labeling."""
+    ident = labels[0][1]
+    for c, own in enumerate(ids):
+        rep = next(iter(own.values()), None)
+        if rep is not None and labels[rep] != (c, ident):
+            raise InternalConsistencyError(
+                f"cone {rep} is labeled {labels[rep]}, not as the canonical "
+                f"seed of cluster {c}")
+
+
+def _settle(cones, ids):
+    """Hand each record its ids and its first vertex (Cone._take)."""
+    for cone, own in zip(cones, ids):
+        cone._take(own)
+
+
+def enumerate_pattern(eps0: ExchangeMatrix, cap=None,
+                      type_tag="custom") -> ExchangePattern:
+    """The exchange pattern of eps0: one Cone record per cluster, and the
+    labeled seeds, deduplicated by (eps, C).
+
+    A labeled seed is stored as (cluster, p): row i of each of its
+    matrices is row p[i] of the canonical seed in the cluster's Cone
+    record, whose ids map p back to the vertex id.  The build first runs
+    the cluster loop: it visits the records in order and runs the work of
+    each (_records), the 2-finite test and then every mutation not yet
+    made from the other end, which appends the new clusters.  The labeled
+    search (_label_seeds) runs a cluster's work when it pops the
+    cluster's first vertex, and it pops the first vertices in record
+    order, so the loop makes the same records, in the same order.  Once
+    it has visited every record, the records are complete and the pattern
+    has prod m_i! labeled seeds per cluster: within the cap, it is
+    returned without them, and numbers them on the first labeled read
+    (ExchangePattern._labels).
+
+    The loop stops early when the record count passes cap // prod m_i!,
+    as the labeled seeds would then pass the cap, or when a cluster fails
+    the 2-finite test.  Its records are then dropped, and the labeled
+    search runs from scratch with each cluster's work at its first pop:
+    it raises NotFiniteTypeError at the first exchange matrix that shows
+    the class is not of finite type, and PatternBudgetError when the
+    vertex budget is exceeded, either way with the partially built
+    pattern attached to the exception.
+    """
+    start = time.process_time()
+    cap = _resolve_cap(cap)
+    cones, _, work = _records(eps0)
+    bound = cap // _labels_per_cluster(eps0.d)
+    c = 0
+    while c < len(cones) <= bound and work(c) is None:
+        c += 1
+    bfs_s = time.process_time() - start
+    if c == len(cones) <= bound:
+        return ExchangePattern(None, type_tag, cap, cones, bfs_s=bfs_s)
+    search = time.process_time()
+    cones, landings, work = _records(eps0)
+
+    def pattern(labels, ids):
+        _settle(cones, ids)
+        return ExchangePattern(labels, type_tag, cap, cones, bfs_s=bfs_s,
+                               label_s=time.process_time() - search)
+
+    return pattern(*_label_seeds(landings, eps0, cap, work, pattern))
 
 
 def pattern_from_type(label, cap=None) -> ExchangePattern:

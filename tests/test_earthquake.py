@@ -96,6 +96,15 @@ def test_quake_multiplier_takes_one_multiplier_per_direction():
         quake_multiplier(P, PositivePoint(0, (1.0, 1.0)), 1, (2.0, 3.0, 4.0))
 
 
+@pytest.mark.parametrize("m", [(-2.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                               (0, 1), (-10 ** 400, 1)], ids=repr)
+def test_quake_multiplier_refuses_a_multiplier_not_finite_and_positive(m):
+    # only a product of finite positive numbers is said to leave the
+    # float range
+    with pytest.raises(cq.CoordinateError, match="positive"):
+        quake_multiplier(pattern("A2"), PositivePoint(0, (1.0, 1.0)), 0, m)
+
+
 def test_quake_result_independent_of_wall_chart():
     # a tropical point on a shared cone face gives the same image through
     # either adjacent chart
@@ -606,6 +615,8 @@ def test_inverse_walk_on_a_cycle_of_landings_stops_at_the_step_bound(
     cycle = [c for c, cone in enumerate(fan)
              if cone.eps.entries == fan[0].eps.entries]
     assert len(cycle) > 1
+    # read before the landings are bent: it numbers the pattern
+    stop = fan[cycle[len(fan) % len(cycle)]].vertex_id
     for c, nxt in zip(cycle, cycle[1:] + cycle[:1]):
         fan[c].landings[:] = [(nxt, (2, 0, 3, 1))] * P.n
     steps, log_mutation = [], _steps.log_mutation
@@ -615,7 +626,6 @@ def test_inverse_walk_on_a_cycle_of_landings_stops_at_the_step_bound(
         return log_mutation(u, eps, k)
 
     monkeypatch.setattr(_steps, "log_mutation", counted)
-    stop = fan[cycle[len(fan) % len(cycle)]].vertex_id
     with pytest.raises(HomeomorphismError,
                        match=f"stopped at cone {stop} after {len(fan)} "):
         inverse_quake(P, ones(P), PositivePoint(0, (1, math.exp(-2), 1, 1)))

@@ -1,8 +1,11 @@
 import dataclasses
+import gc
+import itertools
 import json
 import random
 import re
 import time
+import weakref
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -234,6 +237,8 @@ def pattern_of(vertices, paths, mut_edges, perm_edges, type_tag):
         assert labels[wid] == (c, tuple(p[i] for i in images)), (vid, images)
     for vid, (c, p) in enumerate(labels):
         records[c].ids[p] = vid
+    for cone in records:
+        cone.vertex_id = min(cone.ids.values())
     P = ExchangePattern(labels, type_tag, None, records)
     # the oracle's own tree, in place of the one route() would replay
     P.__dict__["_parents"] = parents
@@ -698,7 +703,12 @@ def test_cluster_memo_matches_labeled_bfs_oracle(label):
     eps0 = seed_from_type(label)
     P = enumerate_pattern(eps0, type_tag=label)
     oracle = labeled_bfs_oracle(eps0, label)
+    # a complete pattern is numbered by its first labeled read, this one
+    assert P._numbering.labels is None
     assert P.to_json_obj() == oracle.to_json_obj()
+    assert P._labels == oracle._labels
+    assert ([list(c.ids.items()) for c in P._cones]
+            == [list(c.ids.items()) for c in oracle._cones])
     assert P.vertices == oracle.vertices
     assert route_edges(P) == oracle.paths
     assert (P.mut_edges, relabel_neighbors(P)) == oracle.edge_maps
@@ -720,6 +730,118 @@ def test_rank_one_pattern_matches_labeled_bfs_oracle(make):
     assert (P._labels, P._parents) == (oracle._labels, oracle._parents)
     assert ([list(c.ids.items()) for c in P._cones]
             == [list(c.ids.items()) for c in oracle._cones])
+
+
+def counted_numberings(monkeypatch):
+    """The calls of the labeled search, from here on."""
+    calls = []
+    real = patterns._label_seeds
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(patterns, "_label_seeds", counting)
+    return calls
+
+
+@pytest.mark.parametrize("label", ENUMERATE_TYPES + ["A5", "B5", "D5"])
+def test_build_fan_len_orthants_and_stats_number_no_labeled_seed(
+        label, monkeypatch):
+    calls = counted_numberings(monkeypatch)
+    P = pattern_from_type(label)
+    fan = P.fan()
+    P.orthants
+    stats = P.stats
+    assert calls == [] and P._numbering.labels is None
+    assert stats["label_s"] is None and stats["vertex_cache"] == 0
+    assert fan == tuple(P._cones) and stats["cones"] == len(fan)
+    # clusters x prod m_i!, which the numbering then confirms
+    assert len(P) == stats["vertices"] == len(fan) * len(
+        {p for p in itertools.permutations(range(P.n))
+         if tuple(map(P.d.__getitem__, p)) == P.d})
+    assert len(P._labels) == len(P) and len(calls) == 1
+    assert P.stats["label_s"] is not None
+
+
+LABELED_READERS = {
+    "vertex": lambda P: P.vertex(0),
+    "vertices": lambda P: P.vertices,
+    "neighbor": lambda P: P.neighbor(0, ("mu", 0)),
+    "route": lambda P: P.route(0, len(P) - 1),
+    "walk": lambda P: P.walk((1,) * P.n, len(P) - 1, 0,
+                             _steps.trop_mutation),
+    "to_json_obj": lambda P: P.to_json_obj(),
+    "mut_edges": lambda P: P.mut_edges,
+    "Cone.vertex_id": lambda P: P.fan()[-1].vertex_id,
+    "Cone.members": lambda P: P.fan()[-1].members,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(LABELED_READERS))
+def test_the_first_labeled_read_numbers_the_pattern_once(reader,
+                                                         monkeypatch):
+    calls = counted_numberings(monkeypatch)
+    P = pattern_from_type("D4")
+    LABELED_READERS[reader](P)
+    assert len(calls) == 1
+    for read in LABELED_READERS.values():
+        read(P)
+    assert len(calls) == 1
+    # the records are numbered: a vertex id is a plain slot read
+    assert [patterns.Cone.vertex_id.__get__(cone) for cone in P.fan()] == [
+        min(cone.ids.values()) for cone in P.fan()]
+
+
+@pytest.mark.parametrize("numbered", [False, True])
+def test_a_dropped_pattern_is_freed_without_the_cycle_collector(numbered):
+    # no reference cycle: the records and the pattern share a numbering
+    # that holds neither, and the opposite pattern, never numbered here,
+    # goes with it; a record is freed when its exchange matrix, which
+    # only it holds, is
+    P = pattern_from_type("B3")
+    P.fan()
+    P.orthants
+    opp = P.opposite()
+    if numbered:
+        P.vertex(7).Fs
+        P.route(0, 7)
+        P.fuGy_check(5)
+        assert opp._numbering.labels is None
+    refs = [weakref.ref(x)
+            for x in (P, P._cones[-1].eps, opp, opp._cones[-1].eps)]
+    del opp
+    gc.disable()
+    try:
+        del P
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "D4"])
+def test_a_dropped_patterns_cones_still_give_the_oracles_ids(label):
+    P = pattern_from_type(label)
+    fan, ref = P.fan(), weakref.ref(P)
+    del P
+    assert ref() is None
+    oracle = labeled_bfs_oracle(seed_from_type(label), label)
+    assert ([(c.vertex_id, c.members, list(c.ids.items())) for c in fan]
+            == [(c.vertex_id, c.members, list(c.ids.items()))
+                for c in oracle.fan()])
+
+
+def test_e6_at_the_default_cap_raises_with_its_partial_pattern(monkeypatch):
+    # 833 clusters x 6! labels are past the cap: the cluster loop stops
+    # at cap // 6! clusters, and the labeled search from scratch raises
+    # where the build always raised
+    monkeypatch.delenv("CLUSTER_QUAKE_CAP", raising=False)
+    with pytest.raises(PatternBudgetError,
+                       match="exceeds 50000 vertices") as err:
+        pattern_from_type("E6")
+    partial = err.value.partial
+    assert (len(partial), len(partial._cones)) == (50_000, 529)
+    assert partial.stats["label_s"] is not None
 
 
 def test_each_label_is_one_shared_tuple():
@@ -1391,22 +1513,31 @@ def test_fan_rejects_a_parent_that_is_not_an_earlier_cone():
 
 def test_fan_rejects_a_cone_with_no_vertex_before_the_last():
     # only the last record can lack members, made just before the cap;
-    # one before it would shift the positions of the cones after it
-    P = pattern_from_type("B3")
+    # one before it would shift the positions of the cones after it.  A
+    # complete pattern's numbering gives every record its labels, so the
+    # fan of a partial one is checked: B3's 40th vertex is past the cap
+    with pytest.raises(PatternBudgetError) as err:
+        pattern_from_type("B3", cap=39)
+    P = err.value.partial
     P._cones[5].ids.clear()
     with pytest.raises(InternalConsistencyError,
                        match="canonical seed of cluster 5$"):
         P.fan()
 
 
-def test_fan_rejects_a_representative_not_labeled_by_the_identity():
+def test_numbering_rejects_a_representative_not_labeled_by_the_identity():
     # a cone's record reads its first vertex's rows unpermuted, so a
-    # first vertex labeled by another member's permutation is a fault
+    # first vertex labeled by another permutation is a fault, found where
+    # the labels are made: the landing that reaches cone 5 first gives
+    # its first vertex the label of a transposition
     P = pattern_from_type("B3")
-    rep, other = P._cones[5].members[:2]
-    P._labels[rep] = P._labels[other]
-    with pytest.raises(InternalConsistencyError, match="canonical seed"):
-        P.fan()
+    up, k = P._cones[5].parent
+    images = P.eps0.admissible_transpositions()[0].images
+    P._cones[up].landings[k] = (5, images)
+    with pytest.raises(InternalConsistencyError,
+                       match=re.escape(f"is labeled (5, {images}), not as "
+                                       "the canonical seed of cluster 5")):
+        P.vertex(0)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3"])

@@ -144,6 +144,13 @@ BEYOND_FLOATS = {
                          "log_g0"),
     "quake_multiplier": (lambda P: cq.quake_multiplier(P, G0, 0, (HUGE, 1)),
                          "multipliers"),
+    # float products at inf and at 0.0 raised CoordinateError
+    "quake_multiplier-float": (
+        lambda P: cq.quake_multiplier(P, PositivePoint(0, (1e10, 1.0)), 0,
+                                      (1e300, 1)), "multipliers.*beyond"),
+    "quake_multiplier-below": (
+        lambda P: cq.quake_multiplier(P, PositivePoint(0, (1e-200, 1.0)), 0,
+                                      (1e-200, 1)), "multipliers.*below"),
     "conjugacy_residual": (
         lambda P: cq.conjugacy_residual(P, G0, TropicalPoint(0, (1, 2)), HUGE),
         "t is"),
